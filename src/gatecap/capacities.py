@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _as_triple, canonical_unitary
-from .distinguishability import d_min_canonical
-from .entanglement import binary_entropy, capacities_closed_form, concurrence
+from .entanglement import binary_entropy, capacities_closed_form
 from .linalg import SIGMA_YY, check_state, kron_state
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 
@@ -150,8 +149,3 @@ def verify_relation2(d, cfg: SearchConfig = SearchConfig()) -> CapacityRelationR
         relation_residual=abs(e_prod - capacity_term),
         note="collective capacity maximized via probe-overlap minimization",
     )
-
-
-def e_max_prod_from_overlap(d) -> float:
-    """Product entropic capacity as h((1 + minimum overlap)/2)."""
-    return binary_entropy((1.0 + d_min_canonical(_as_triple(d))) / 2.0)

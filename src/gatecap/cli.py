@@ -166,6 +166,9 @@ def cmd_capacities(args) -> int:
         raise MalformedInputError("provide exactly one of --d or a matrix file")
     if args.d is not None:
         d = _parse_triple(args.d)
+        if not in_weyl_region(d):
+            raise MalformedInputError(
+                f"triple {args.d!r} lies outside the region 0 <= |az| <= ay <= ax <= pi/4")
     else:
         d = cartan_decompose(_load_unitary(args.matrix)).d
     caps = capacities_closed_form(d)

@@ -1,9 +1,10 @@
 """Brute-force optimizers that independently verify the closed forms.
 
-Grid scans plus derivative-free refinement over explicit angle
-parametrizations of pure states.  These searches never call the closed
-forms they are meant to check; agreement between the two routes is
-asserted in the test suite.
+Coarse scans plus refinement over explicit angle parametrizations of pure
+states: the product search refines by alternating Autonne-Takagi ascent,
+the pure-input and probe searches by derivative-free descent.  These
+searches never call the closed forms they are meant to check; agreement
+between the two routes is asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,17 @@ from .linalg import SIGMA_YY, check_unitary, eig_unitary
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search parameters shared by all oracle operations."""
+    """Deterministic search parameters shared by all oracle operations.
+
+    ``coarse_grid_per_angle`` is the points per angle of the coarse scan:
+    the product search scans an n x n (theta, phi) grid over its first
+    qubit, the pure-input searches draw n^3 random inputs.  ``restarts`` is
+    how many of the best coarse points are refined, and
+    ``refine_iterations`` caps each refinement: Nelder-Mead iterations, and
+    for the product search also its alternating ascent sweeps.
+    ``tolerance`` sets the refinements' stopping accuracy; the product
+    search's ascent stops once no start gains more than its square.
+    """
 
     coarse_grid_per_angle: int = 24
     restarts: int = 32
@@ -43,37 +54,31 @@ class SearchResult:
     evaluations: int
 
 
-def _qubit_states(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Column-stacked single-qubit states cos(t/2)|0> + e^{i p} sin(t/2)|1>."""
-    return np.vstack([
-        np.cos(thetas / 2),
-        np.exp(1j * phis) * np.sin(thetas / 2),
-    ])
+def _qubit_states(thetas, phis) -> np.ndarray:
+    """Single-qubit states cos(t/2)|0> + e^{i p} sin(t/2)|1>, stacked on the last axis."""
+    return np.stack([np.cos(thetas / 2), np.exp(1j * phis) * np.sin(thetas / 2)], axis=-1)
 
 
-def _product_state(angles: np.ndarray) -> np.ndarray:
-    ta, pa, tb, pb = angles
-    a = np.array([np.cos(ta / 2), np.exp(1j * pa) * np.sin(ta / 2)])
-    b = np.array([np.cos(tb / 2), np.exp(1j * pb) * np.sin(tb / 2)])
-    return np.kron(a, b)
+def _general_state(angles) -> np.ndarray:
+    """Two-qubit pure states from 3 magnitude angles and 3 relative phases.
 
-
-def _general_state(angles: np.ndarray) -> np.ndarray:
-    """Two-qubit pure state from 3 magnitude angles and 3 relative phases."""
-    t1, t2, t3, p1, p2, p3 = angles
+    ``angles`` of shape (6,) gives one state of shape (4,); shape (n, 6)
+    gives the column-stacked states, shape (4, n).
+    """
+    t1, t2, t3, p1, p2, p3 = np.asarray(angles).T
     mags = np.array([
         np.cos(t1 / 2),
         np.sin(t1 / 2) * np.cos(t2 / 2),
         np.sin(t1 / 2) * np.sin(t2 / 2) * np.cos(t3 / 2),
         np.sin(t1 / 2) * np.sin(t2 / 2) * np.sin(t3 / 2),
     ])
-    phases = np.exp(1j * np.array([0.0, p1, p2, p3]))
+    phases = np.exp(1j * np.array([0 * p1, p1, p2, p3]))
     return mags * phases
 
 
-def _batch_concurrence(states: np.ndarray) -> np.ndarray:
-    """Concurrence of column-stacked states via the spin-flip quadratic form."""
-    return np.abs(np.einsum("in,ij,jn->n", states, SIGMA_YY, states))
+def _concurrence(states: np.ndarray) -> np.ndarray:
+    """Concurrence 2|psi_0 psi_3 - psi_1 psi_2| of one state or of column-stacked states."""
+    return 2 * np.abs(states[0] * states[3] - states[1] * states[2])
 
 
 def _angle_grid(n: int, upper: float) -> np.ndarray:
@@ -89,46 +94,80 @@ def _refine(objective, x0: np.ndarray, cfg: SearchConfig):
     return res.x, float(res.fun), int(res.nfev)
 
 
+def _takagi_top(m: np.ndarray):
+    """Top Autonne-Takagi vector and value of stacked complex symmetric 2x2 matrices.
+
+    Returns unit vectors b of shape (..., 2) with |b^T m b| = sigma_max(m),
+    the largest value of |b^T m b| over unit b, and sigma_max itself.
+    """
+    u, s, vh = np.linalg.svd(m)
+    v1 = vh[..., 0, :].conj()
+    u1 = u[..., :, 0]
+    # m v1 = s1 u1 and, m being symmetric, m conj(u1) = s1 conj(v1), so both
+    # z = v1 + conj(u1) and z = i (v1 - conj(u1)) solve m z = s1 conj(z), and
+    # then |z^T m z| = s1 |z|^2.  Their squared norms add up to 4; when
+    # s1 = s2 either one may vanish, so take the longer.
+    plus = v1 + u1.conj()
+    minus = 1j * (v1 - u1.conj())
+    longer = np.linalg.norm(plus, axis=-1) >= np.linalg.norm(minus, axis=-1)
+    z = np.where(longer[..., None], plus, minus)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True), s[..., 0]
+
+
+def _contract(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric 2x2 matrices sum_ik x_i x_k g[i, :, k, :] for stacked qubits x."""
+    return np.einsum("...i,...k,ijkl->...jl", x, x, g)
+
+
 def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Maximum output concurrence of U over product input states.
 
-    Each qubit is parametrized by polar and azimuthal angles (global phases
-    are irrelevant); a full coarse grid is scanned, then the best grid
-    points are refined by derivative-free descent.
+    With G = U^T (sy (x) sy) U as a (2, 2, 2, 2) array, the output
+    concurrence of a (x) b is |b^T M(a) b| for the symmetric 2x2 matrix
+    M(a) = sum_ik a_i a_k G[i, :, k, :], whose maximum over unit b is
+    sigma_max(M(a)), reached at its top Autonne-Takagi vector.  The search
+    scores a ``coarse_grid_per_angle`` squared (theta, phi) grid over a,
+    runs alternating a/b Takagi ascent from the best ``restarts`` grid
+    points together for at most ``refine_iterations`` sweeps, polishes the
+    best a with Nelder-Mead on its two angles, and returns a (x) b.  Each
+    evaluation is one 2x2 singular value decomposition.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_product expects a 4x4 unitary")
-    n = cfg.coarse_grid_per_angle
-    thetas = _angle_grid(n, np.pi)
-    phis = _angle_grid(n, 2 * np.pi)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    qubit = _qubit_states(tt.ravel(), pp.ravel())  # 2 x n^2
+    g = (u.T @ SIGMA_YY @ u).reshape(2, 2, 2, 2)
+    g_swapped = g.transpose(1, 0, 3, 2)  # the same form with the qubits' roles exchanged
 
-    # All product pairs at once: (4, n^2 * n^2) via the kron structure.
-    prod = np.einsum("am,bn->abmn", qubit, qubit).reshape(4, -1)
-    out = u @ prod
-    values = _batch_concurrence(out)
+    n = cfg.coarse_grid_per_angle
+    thetas, phis = np.meshgrid(_angle_grid(n, np.pi), _angle_grid(n, 2 * np.pi), indexing="ij")
+    a = _qubit_states(thetas.ravel(), phis.ravel())
+    values = np.linalg.svd(_contract(g, a), compute_uv=False)[:, 0]
     evaluations = values.size
 
     order = np.argsort(values)[::-1][:cfg.restarts]
-    m = qubit.shape[1]
-    best_val = -1.0
-    best_angles = None
-    for flat in order:
-        ia, ib = divmod(int(flat), m)
-        x0 = np.array([tt.ravel()[ia], pp.ravel()[ia], tt.ravel()[ib], pp.ravel()[ib]])
+    a, values = a[order], values[order]
+    for _ in range(cfg.refine_iterations):
+        b, _ = _takagi_top(_contract(g, a))
+        a, improved = _takagi_top(_contract(g_swapped, b))
+        evaluations += 2 * a.shape[0]
+        converged = np.max(improved - values) <= cfg.tolerance ** 2
+        values = improved
+        if converged:
+            break
 
-        def objective(x):
-            return -_batch_concurrence((u @ _product_state(x))[:, None])[0]
+    best = a[np.argmax(values)]
+    x0 = np.array([2 * np.arctan2(abs(best[1]), abs(best[0])),
+                   np.angle(best[1]) - np.angle(best[0])])
 
-        x, fval, nfev = _refine(objective, x0, cfg)
-        evaluations += nfev
-        if -fval > best_val:
-            best_val = -fval
-            best_angles = x
-    state = _product_state(best_angles)
-    return SearchResult(value=min(best_val, 1.0), argmax_state=state,
+    def objective(x):
+        return -np.linalg.svd(_contract(g, _qubit_states(*x)), compute_uv=False)[0]
+
+    x, _, nfev = _refine(objective, x0, cfg)
+    evaluations += nfev
+    a = _qubit_states(*x)
+    b, _ = _takagi_top(_contract(g, a))
+    state = np.kron(a, b)
+    return SearchResult(value=min(float(_concurrence(u @ state)), 1.0), argmax_state=state,
                         evaluations=evaluations)
 
 
@@ -147,13 +186,13 @@ def _max_pure_input_gain(u: np.ndarray, gain, cfg: SearchConfig, seeds=()):
         rng.uniform(0, np.pi, (n_coarse, 3)),
         rng.uniform(0, 2 * np.pi, (n_coarse, 3)),
     ])
-    states = np.array([_general_state(a) for a in samples]).T  # 4 x n
-    values = gain(_batch_concurrence(u @ states), _batch_concurrence(states))
+    states = _general_state(samples)
+    values = gain(_concurrence(u @ states), _concurrence(states))
     evaluations = values.size
 
     def objective(x):
-        psi = _general_state(x)[:, None]
-        return -gain(_batch_concurrence(u @ psi), _batch_concurrence(psi))[0]
+        psi = _general_state(x)
+        return -gain(_concurrence(u @ psi), _concurrence(psi))
 
     order = np.argsort(values)[::-1][:max(cfg.restarts - len(seeds), 1)]
     best_val = -np.inf

@@ -99,6 +99,13 @@ def test_capacities_triple(capsys):
     assert report["relation2"]["relation_residual"] <= 1e-3
 
 
+def test_capacities_rejects_triple_outside_region(capsys):
+    # ax = 1.2 > pi/4: the closed forms assume the standard region.
+    assert main(["capacities", "--d", "1.2,0,0"]) == 2
+    assert "malformed-input" in capsys.readouterr().err
+    assert main(["capacities", "--d", "0.3927,0,0"]) == 0
+
+
 def test_capacities_requires_one_input(capsys):
     assert main(["capacities"]) == 2
     assert main(["capacities", "--d", "1,2"]) == 2

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from gatecap.canonical import canonical_unitary, cartan_decompose
+from gatecap.canonical import canonical_unitary, cartan_decompose, in_weyl_region
 from gatecap.distinguishability import d_min_canonical
-from gatecap.entanglement import capacities_closed_form, concurrence
-from gatecap.linalg import haar_random_unitary
+from gatecap.entanglement import capacities_closed_form, concurrence, concurrence_conjugate_form
+from gatecap.linalg import haar_random_unitary, kron
 from gatecap.oracle import (
     SearchConfig,
+    _concurrence,
+    _general_state,
+    _takagi_top,
     max_concurrence_product,
     max_concurrence_unrestricted,
     max_delta_concurrence,
@@ -24,6 +27,58 @@ def test_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(tolerance=-1.0)
+
+
+def test_general_state_batch_matches_single():
+    rng = np.random.default_rng(0)
+    angles = np.column_stack([rng.uniform(0, np.pi, (200, 3)),
+                              rng.uniform(0, 2 * np.pi, (200, 3))])
+    batch = _general_state(angles)
+    assert all(np.array_equal(batch[:, k], _general_state(angles[k])) for k in range(200))
+    spin_flip = [concurrence_conjugate_form(batch[:, k]) for k in range(200)]
+    assert np.max(np.abs(_concurrence(batch) - spin_flip)) <= 1e-15
+
+
+def test_takagi_top_attains_largest_singular_value():
+    rng = np.random.default_rng(211)
+    random = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
+    # sigma_1 = sigma_2; for -I and diag(-1, 1) the SVD gives u1 = -conj(v1).
+    degenerate = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]],
+                           [[-1, 0], [0, -1]], [[-1, 0], [0, 1]], [[1j, 0], [0, 1j]],
+                           [[0, 0], [0, 0]]], dtype=complex)
+    m = np.concatenate([random + random.transpose(0, 2, 1), degenerate])
+    b, sigma = _takagi_top(m)
+    assert np.allclose(np.linalg.norm(b, axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(sigma, np.linalg.svd(m, compute_uv=False)[:, 0], atol=1e-12)
+    attained = np.abs(np.einsum("nj,njl,nl->n", b, m, b))
+    assert np.max(np.abs(attained - sigma)) <= 1e-12
+
+
+# Special classes with a perturbation direction that stays in the region.
+SPECIAL_CLASSES = {
+    "identity": ([0, 0, 0], [1, 0.5, 0.25]),
+    "cnot": ([PI_4, 0, 0], [-1, 0.5, 0.25]),
+    "b": ([PI_4, np.pi / 8, 0], [-1, 0.5, 0.25]),
+    "controlled_sqrt_x": ([np.pi / 8, 0, 0], [1, 0.5, 0.25]),
+    "swap": ([PI_4, PI_4, PI_4], [-1, -2, -3]),
+    "sqrt_swap": ([np.pi / 8, np.pi / 8, np.pi / 8], [1, 0.5, 0.25]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_CLASSES))
+def test_product_capacity_near_degenerate_classes(name):
+    centre, direction = SPECIAL_CLASSES[name]
+    rng = np.random.default_rng(307)
+    for eps in (0.0, 1e-10, 1e-6, 1e-4):
+        d = np.array(centre) + eps * np.array(direction)
+        assert in_weyl_region(d)
+        u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+             @ canonical_unitary(d)
+             @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+        result = max_concurrence_product(u)
+        assert abs(result.value - capacities_closed_form(d).c_max_prod) <= 1e-9, (name, eps)
+        assert abs(concurrence(u @ result.argmax_state) - result.value) <= 1e-12
+        assert concurrence(result.argmax_state) <= 1e-12
 
 
 def test_product_capacity_identity():
