@@ -197,8 +197,7 @@ def cmd_capacities(args) -> int:
     return EXIT_OK
 
 
-def _verify_residual(u: np.ndarray, route: str, cfg: SearchConfig) -> float:
-    form = cartan_decompose(u)
+def _verify_residual(u: np.ndarray, form, route: str, cfg: SearchConfig) -> float:
     if route in ("closed", "geometric"):
         return verify_theorem(form.d, route=route).residual
     if route == "numeric":
@@ -221,8 +220,9 @@ def cmd_verify(args) -> int:
     rows = []
     for trial in range(args.trials):
         u = haar_random_unitary(4, rng)
+        form = cartan_decompose(u)
         for route in routes:
-            r = _verify_residual(u, route, cfg)
+            r = _verify_residual(u, form, route, cfg)
             residuals[route].append(r)
             rows.append((trial, route, r))
     if args.out:

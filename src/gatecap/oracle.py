@@ -2,9 +2,10 @@
 
 Coarse scans plus refinement over explicit angle parametrizations of pure
 states: the product search refines by alternating Autonne-Takagi ascent,
-the pure-input and probe searches by derivative-free descent.  These
-searches never call the closed forms they are meant to check; agreement
-between the two routes is asserted in the test suite.
+the pure-input and probe searches by Nelder-Mead, all restarts of a search
+refined together in lockstep.  These searches never call the closed forms
+or the spectral geometry they are meant to check; agreement between the
+routes is asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .distinguishability import hull_optimal_weights
-from .linalg import SIGMA_YY, check_unitary, eig_unitary
+from .linalg import SIGMA_YY, check_unitary
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,13 @@ class SearchConfig:
     ``coarse_grid_per_angle`` is the points per angle of the coarse scan:
     the product search scans an n x n (theta, phi) grid over its first
     qubit, the pure-input searches draw n^3 random inputs.  ``restarts`` is
-    how many of the best coarse points are refined, and
-    ``refine_iterations`` caps each refinement: Nelder-Mead iterations, and
-    for the product search also its alternating ascent sweeps.
-    ``tolerance`` sets the refinements' stopping accuracy; the product
-    search's ascent stops once no start gains more than its square.
+    how many of the best coarse points (for the probe search, random
+    probes) are refined; the pure-input and probe searches refine all of
+    them together by lockstep Nelder-Mead.  ``refine_iterations`` caps each
+    refinement: Nelder-Mead iterations, and for the product search also its
+    alternating ascent sweeps.  ``tolerance`` sets the refinements'
+    stopping accuracy; the product search's ascent stops once no start
+    gains more than its square.
     """
 
     coarse_grid_per_angle: int = 24
@@ -92,6 +94,74 @@ def _refine(objective, x0: np.ndarray, cfg: SearchConfig):
                             "xatol": cfg.tolerance / 10,
                             "fatol": cfg.tolerance / 10})
     return res.x, float(res.fun), int(res.nfev)
+
+
+def _refine_batch(objective, x0s: np.ndarray, cfg: SearchConfig):
+    """Nelder-Mead from every row of ``x0s`` at once, step for step as in scipy.
+
+    ``objective`` maps stacked points of shape (m, n) to m values.  Each
+    row runs scipy's algorithm (coefficients 1, 2, 1/2, 1/2; its initial
+    simplex, stopping rule, iteration cap and sort), with the same options
+    as ``_refine``; every step evaluates all reflections in one call, then
+    the one follow-up point each simplex needs, then the shrinks.  A
+    simplex that meets the stopping rule stops moving.  Returns the best
+    points, their values and the evaluation count of each row.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    rows, n = x0s.shape
+    tol = cfg.tolerance / 10
+    sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0s != 0, (1 + 0.05) * x0s, 0.00025)
+    fsim = objective(sim.reshape(-1, n)).reshape(rows, n + 1)
+    nfev = np.full(rows, n + 1)
+
+    def sort(sim, fsim):
+        order = np.argsort(fsim, axis=1)
+        return (np.take_along_axis(sim, order[..., None], axis=1),
+                np.take_along_axis(fsim, order, axis=1))
+
+    # scipy sorts the initial simplex twice; ties may be reordered each time.
+    sim, fsim = sort(*sort(sim, fsim))
+    active = np.ones(rows, dtype=bool)
+    # scipy counts iterations from 1 and stops at the cap.
+    for _ in range(cfg.refine_iterations - 1):
+        active &= ~((np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= tol)
+                    & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= tol))
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        s, f = sim[live], fsim[live]
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = 2 * xbar - worst
+        fxr = objective(xr)
+        expand = fxr < f[:, 0]
+        reflect = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~reflect & (fxr < f[:, -1])
+        inside = ~expand & ~reflect & ~outside
+        # Expansion, outside or inside contraction, in scipy's arithmetic.
+        trial = np.where(expand[:, None], 3 * xbar - 2 * worst,
+                         np.where(outside[:, None], 1.5 * xbar - 0.5 * worst,
+                                  0.5 * xbar + 0.5 * worst))
+        ftrial = np.full(live.size, np.inf)
+        ftrial[~reflect] = objective(trial[~reflect])
+        nfev[live] += 1 + ~reflect
+        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
+                      | (inside & (ftrial < f[:, -1])))
+        take_reflection = reflect | (expand & ~take_trial)
+        shrink = (outside | inside) & ~take_trial
+        s[take_trial, -1] = trial[take_trial]
+        f[take_trial, -1] = ftrial[take_trial]
+        s[take_reflection, -1] = xr[take_reflection]
+        f[take_reflection, -1] = fxr[take_reflection]
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
+            f[shrink, 1:] = objective(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+        sim[live], fsim[live] = sort(s, f)
+    return sim[:, 0], fsim[:, 0], nfev
 
 
 def _takagi_top(m: np.ndarray):
@@ -176,9 +246,10 @@ def _max_pure_input_gain(u: np.ndarray, gain, cfg: SearchConfig, seeds=()):
 
     ``gain`` maps arrays of output and input concurrences to gains.  The
     6-parameter manifold of pure states (normalization and global phase
-    quotiented) is sampled at random; the best samples and the given seed
-    angles are refined by derivative-free descent, and the incumbent is
-    polished once more.  Returns (best gain, its angles, evaluation count).
+    quotiented) is sampled at random; the given seed angles and the best
+    samples are refined together by lockstep Nelder-Mead, and the
+    incumbent is polished once more.  Returns (best gain, its angles,
+    evaluation count).
     """
     rng = np.random.default_rng(cfg.seed)
     n_coarse = cfg.coarse_grid_per_angle ** 3
@@ -195,14 +266,11 @@ def _max_pure_input_gain(u: np.ndarray, gain, cfg: SearchConfig, seeds=()):
         return -gain(_concurrence(u @ psi), _concurrence(psi))
 
     order = np.argsort(values)[::-1][:max(cfg.restarts - len(seeds), 1)]
-    best_val = -np.inf
-    best_angles = None
-    for x0 in [*seeds, *samples[order]]:
-        x, fval, nfev = _refine(objective, x0, cfg)
-        evaluations += nfev
-        if -fval > best_val:
-            best_val = -fval
-            best_angles = x
+    x0s = np.concatenate([np.reshape(seeds, (-1, samples.shape[1])), samples[order]])
+    xs, fvals, nfev = _refine_batch(objective, x0s, cfg)
+    evaluations += int(nfev.sum())
+    best = int(np.argmin(fvals))
+    best_val, best_angles = -float(fvals[best]), xs[best]
     # Final polish from the incumbent with a fresh simplex and a larger
     # iteration budget.
     polish_cfg = SearchConfig(coarse_grid_per_angle=cfg.coarse_grid_per_angle,
@@ -261,51 +329,23 @@ def max_concurrence_unrestricted(u: np.ndarray,
 def min_probe_overlap(v: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Minimum over probe states of |<phi|V|phi>|.
 
-    In the eigenbasis of V the overlap is |sum_j p_j exp(i theta_j)| over
-    probability vectors p, for which the exact optimum lies on a vertex or
-    a chord of the spectral polygon; a direct derivative-free search over
-    probe states is run as well and the two routes are required to agree.
+    ``restarts`` seeded random probes are refined together by lockstep
+    Nelder-Mead, and the best one is returned with its own value.  The
+    search never consults the spectrum of V, so it checks the hull geometry
+    of ``d_min_geometric`` and the closed form independently.
     """
     v = check_unitary(v)
-    decomp = eig_unitary(v)
-    weights, exact = hull_optimal_weights(decomp.phases)
-    simplex_state = decomp.vectors @ np.sqrt(weights).astype(complex)
-    simplex_state /= np.linalg.norm(simplex_state)
-    evaluations = decomp.phases.size ** 2
 
     def objective(x):
         psi = _general_state(x)
-        return np.abs(np.vdot(psi, v @ psi))
+        return np.abs(np.sum(psi.conj() * (v @ psi), axis=0))
 
     rng = np.random.default_rng(cfg.seed)
-    best_val = objective_state(simplex_state, v)
-    best_state = simplex_state
-    for _ in range(cfg.restarts):
-        x0 = np.concatenate([rng.uniform(0, np.pi, 3), rng.uniform(0, 2 * np.pi, 3)])
-        x, fval, nfev = _refine(objective, x0, cfg)
-        evaluations += nfev
-        if fval < best_val:
-            best_val = fval
-            best_state = _general_state(x)
-    # Polish from the exact simplex optimum too, so the direct route
-    # certifies the geometric one.
-    x0 = _state_to_angles(simplex_state)
-    x, fval, nfev = _refine(objective, x0, cfg)
-    evaluations += nfev
-    if fval < best_val:
-        best_val = fval
-        best_state = _general_state(x)
-    if abs(best_val - exact) > cfg.tolerance:
-        raise RuntimeError(
-            f"probe search ({best_val:.9f}) and spectral geometry ({exact:.9f}) disagree")
-    value = min(best_val, exact)
-    state = best_state if best_val <= exact else simplex_state
-    return SearchResult(value=value, argmax_state=state, evaluations=evaluations)
-
-
-def objective_state(psi: np.ndarray, v: np.ndarray) -> float:
-    """|<psi|V|psi>| for a single normalized state."""
-    return float(np.abs(np.vdot(psi, v @ psi)))
+    x0s = rng.uniform(0, np.repeat([np.pi, 2 * np.pi], 3), (cfg.restarts, 6))
+    xs, fvals, nfev = _refine_batch(objective, x0s, cfg)
+    best = int(np.argmin(fvals))
+    return SearchResult(value=float(fvals[best]), argmax_state=_general_state(xs[best]),
+                        evaluations=int(nfev.sum()))
 
 
 def _state_to_angles(psi: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gatecap.canonical import canonical_unitary
+from gatecap.canonical import canonical_unitary, cartan_decompose
 from gatecap.cli import main
 from gatecap.linalg import haar_random_unitary, kron
 from gatecap.serialization import matrix_to_json, save_matrix
@@ -133,6 +133,30 @@ def test_verify_csv_output(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "trial,route,residual"
     assert len(lines) == 4
+
+
+def test_verify_decomposes_each_trial_once(tmp_path, monkeypatch, capsys):
+    import gatecap.cli as cli
+    from gatecap.distinguishability import verify_theorem
+
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return cartan_decompose(u)
+
+    monkeypatch.setattr(cli, "cartan_decompose", counting)
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--trials", "3", "--seed", "7", "--routes", "closed,geometric",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 3
+    rng = np.random.default_rng(7)
+    want = ["trial,route,residual"]
+    for trial in range(3):
+        d = cartan_decompose(haar_random_unitary(4, rng)).d
+        for route in ("closed", "geometric"):
+            want.append(f"{trial},{route},{verify_theorem(d, route=route).residual:.17g}")
+    assert out.read_text().strip().splitlines() == want
 
 
 def test_random_weyl(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from gatecap.canonical import canonical_unitary, cartan_decompose, in_weyl_region
 from gatecap.distinguishability import d_min_canonical
@@ -11,6 +12,7 @@ from gatecap.oracle import (
     SearchConfig,
     _concurrence,
     _general_state,
+    _refine_batch,
     _takagi_top,
     max_concurrence_product,
     max_concurrence_unrestricted,
@@ -37,6 +39,46 @@ def test_general_state_batch_matches_single():
     assert all(np.array_equal(batch[:, k], _general_state(angles[k])) for k in range(200))
     spin_flip = [concurrence_conjugate_form(batch[:, k]) for k in range(200)]
     assert np.max(np.abs(_concurrence(batch) - spin_flip)) <= 1e-15
+
+
+def _scipy_nelder_mead(objective, x0, cfg):
+    return minimize(objective, x0, method="Nelder-Mead",
+                    options={"maxiter": cfg.refine_iterations,
+                             "xatol": cfg.tolerance / 10, "fatol": cfg.tolerance / 10})
+
+
+def test_refine_batch_matches_scipy():
+    cfg = SearchConfig()
+    u = haar_random_unitary(4, np.random.default_rng(401))
+
+    def objective(x):
+        psi = _general_state(x)
+        return -(_concurrence(u @ psi) ** 2 - _concurrence(psi) ** 2)
+
+    x0s = np.random.default_rng(402).uniform(0, np.repeat([np.pi, 2 * np.pi], 3), (32, 6))
+    xs, values, nfev = _refine_batch(objective, x0s, cfg)
+    reference = [_scipy_nelder_mead(objective, x0, cfg) for x0 in x0s]
+    assert nfev.sum() == sum(res.nfev for res in reference)
+    assert np.max(np.abs(xs - [res.x for res in reference])) <= 1e-9
+    assert np.max(np.abs(values - [res.fun for res in reference])) <= 1e-12
+
+
+def test_refine_batch_converged_start_is_unchanged():
+    # The initial simplex of this start already meets the stopping rule and
+    # the start is its best vertex; the second row still has to move.
+    cfg = SearchConfig()
+
+    def objective(x):
+        return np.sum(x ** 2, axis=-1)
+
+    x0s = np.array([np.full(6, 1e-8), np.full(6, 0.5)])
+    xs, values, nfev = _refine_batch(objective, x0s, cfg)
+    assert np.array_equal(xs[0], x0s[0])
+    assert values[0] == objective(x0s[0])
+    assert nfev[0] == 7
+    reference = _scipy_nelder_mead(objective, x0s[1], cfg)
+    assert nfev[1] == reference.nfev > 7
+    assert np.max(np.abs(xs[1] - reference.x)) <= 1e-9
 
 
 def test_takagi_top_attains_largest_singular_value():
@@ -167,7 +209,7 @@ def test_probe_overlap_pi8_square():
     result = min_probe_overlap(u @ u, FAST)
     assert abs(result.value - 0.70711) <= 1e-5
     psi = result.argmax_state
-    assert abs(np.abs(np.vdot(psi, u @ u @ psi)) - result.value) <= 1e-6
+    assert abs(np.abs(np.vdot(psi, u @ u @ psi)) - result.value) <= 1e-12
 
 
 def test_probe_overlap_matches_closed_form():
