@@ -28,7 +28,6 @@ from .linalg import (
 )
 
 RECONSTRUCTION_TOL = 1e-9
-DEGENERACY_CLUSTER_TOL = 1e-8
 WEYL_BOUNDARY_ATOL = 1e-12
 
 PI_2 = np.pi / 2
@@ -210,10 +209,11 @@ class _TrackedVector:
             self.swap(0, 1)
 
 
-def _canonicalize_vector(raw, boundary_atol: float = 1e-9) -> _TrackedVector:
+def _canonicalize_vector(raw) -> _TrackedVector:
     """Drive an arbitrary triple into the region 0 <= |az| <= ay <= ax <= pi/4.
 
-    Tie-break at ax = pi/4: the representative with az >= 0 is chosen.
+    Tie-break at ax = pi/4 (within ``WEYL_BOUNDARY_ATOL``, the tolerance of
+    ``in_weyl_region``): the representative with az >= 0 is chosen.
     """
     t = _TrackedVector(_as_triple(raw))
     for k in range(3):
@@ -224,7 +224,7 @@ def _canonicalize_vector(raw, boundary_atol: float = 1e-9) -> _TrackedVector:
     if t.v[1] < 0:
         t.negate(1, 2)
     t.shift_into_band(2)
-    if t.v[0] > PI_4 - boundary_atol and t.v[2] < 0:
+    if t.v[0] > PI_4 - WEYL_BOUNDARY_ATOL and t.v[2] < 0:
         t.shift(0, -1)
         t.negate(0, 2)
     t.phase = wrap_angle(t.phase)
@@ -286,7 +286,7 @@ def _magic_symmetric_eigensystem(m2: np.ndarray):
     im = np.imag(m2)
     re = (re + re.T) / 2
     im = (im + im.T) / 2
-    p = simultaneous_diagonalize(re, im, cluster_tol=DEGENERACY_CLUSTER_TOL)
+    p = simultaneous_diagonalize(re, im)
     eigvals = np.einsum("ij,ik,kj->j", p, m2, p)
     offdiag = p.T @ m2 @ p - np.diag(eigvals)
     if np.max(np.abs(offdiag)) > 1e-8:

@@ -98,12 +98,6 @@ def entropy_of_entanglement(state) -> float:
     return float(total)
 
 
-def entanglement_values(state):
-    """Both measures for one state: (concurrence, entropy)."""
-    c = concurrence(state)
-    return c, binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
-
-
 def is_perfect_entangler(d) -> bool:
     """Whether U_d maps some product state to a maximally entangled state.
 

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for 2x2 and 4x4 matrices.
 
 Provides the matrix primitives the rest of the package is built on:
-products, Kronecker products, unitarity checks, eigendecomposition of
-unitary matrices with orthonormal eigenvectors even for degenerate
-spectra, and seeded Haar-random sampling.
+Kronecker products, unitarity checks, eigendecomposition of unitary
+matrices with orthonormal eigenvectors even for degenerate spectra, and
+seeded Haar-random sampling.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
-PHASE_CLUSTER_TOL = 1e-8
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -88,15 +87,6 @@ def check_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
     return psi
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-dimension matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 matrices into a 4x4 matrix."""
     a = np.asarray(a, dtype=complex)
@@ -130,49 +120,45 @@ class SpectralDecomposition:
         return (self.vectors * np.exp(1j * self.phases)) @ dagger(self.vectors)
 
 
-def _cluster_bounds(values: np.ndarray, tol: float):
-    """Split sorted values into maximal runs of near-equal entries."""
-    bounds = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            bounds.append((start, i))
-            start = i
-    return bounds
+# Unit weights (a, b) of the combinations a*h1 + b*h2 tried in turn by
+# simultaneous_diagonalize.  The angles step by the golden angle, so none is
+# a rational multiple of pi (where the spectra of special gates put their
+# bisectors) and no two lie close modulo pi.
+_COMBINATIONS = tuple((np.cos(t), np.sin(t)) for t in np.pi * (3 - np.sqrt(5)) * np.arange(1, 9))
 
 
-def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray,
-                             cluster_tol: float = PHASE_CLUSTER_TOL) -> np.ndarray:
+def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Common eigenbasis of two commuting Hermitian (or real symmetric) matrices.
 
-    Diagonalizes ``h1`` first, then re-diagonalizes ``h2`` restricted to each
-    degenerate eigenspace of ``h1``.  For real symmetric inputs the returned
-    eigenvector matrix is real orthogonal.
+    Diagonalizes one generic combination a*h1 + b*h2 and accepts its basis
+    when the orthogonal combination b*h1 - a*h2 is diagonal in it to 1e-13
+    (absolute; the inputs have norm about 1).  A generic combination
+    separates every joint eigenpair however close the spectra of h1 and h2
+    are on their own.  Otherwise the next pair (a, b) is tried; when none is
+    accepted the last basis is returned for the caller's own checks to
+    judge.  For real symmetric inputs the returned eigenvector matrix is
+    real orthogonal.
     """
-    w, p = np.linalg.eigh(h1)
-    vecs = p.copy()
-    for i0, i1 in _cluster_bounds(w, cluster_tol):
-        if i1 - i0 > 1:
-            block = p[:, i0:i1]
-            h2b = dagger(block) @ h2 @ block if np.iscomplexobj(h1) else block.T @ h2 @ block
-            h2b = (h2b + (dagger(h2b) if np.iscomplexobj(h1) else h2b.T)) / 2
-            _, q = np.linalg.eigh(h2b)
-            vecs[:, i0:i1] = block @ q
-    return vecs
+    for a, b in _COMBINATIONS:
+        _, p = np.linalg.eigh(a * h1 + b * h2)
+        rest = dagger(p) @ (b * h1 - a * h2) @ p
+        if np.max(np.abs(rest - np.diag(np.diagonal(rest)))) <= 1e-13:
+            break
+    return p
 
 
-def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL,
-                cluster_tol: float = PHASE_CLUSTER_TOL) -> SpectralDecomposition:
+def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
 
     Works through the commuting Hermitian pair (U + U^dag)/2 and
-    (U - U^dag)/2i, which stays well conditioned for the 2- and 4-fold
-    degenerate spectra produced by canonical two-qubit operators.
+    (U - U^dag)/2i and their common eigenbasis, which stays well conditioned
+    for the degenerate and nearly degenerate spectra of canonical two-qubit
+    operators.
     """
     u = check_unitary(u, tol=tol)
     h1 = (u + dagger(u)) / 2
     h2 = (u - dagger(u)) / 2j
-    vecs = simultaneous_diagonalize(h1, h2, cluster_tol=cluster_tol)
+    vecs = simultaneous_diagonalize(h1, h2)
     eigvals = np.einsum("ij,ik,kj->j", vecs.conj(), u, vecs)
     moduli = np.abs(eigvals)
     if np.max(np.abs(moduli - 1.0)) > 1e-10:

@@ -13,6 +13,7 @@ from gatecap.canonical import (
     mirror_negative_alpha_z,
     reduce_to_weyl,
 )
+from gatecap.distinguishability import d_min_geometric
 from gatecap.linalg import PAULI_Z, eig_unitary, haar_random_unitary, kron, unitarity_defect
 
 PI_4 = np.pi / 4
@@ -115,6 +116,68 @@ def test_local_invariance():
         dressed = kron(locals_[0], locals_[1]) @ base @ kron(locals_[2], locals_[3])
         form = cartan_decompose(dressed)
         assert np.max(np.abs(form.d - d)) <= 1e-9
+
+
+def _dress(d, rng):
+    return (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            @ canonical_unitary(d)
+            @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+
+
+# Magic basis, written out here so the invariants below do not depend on the
+# module's constant.
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
+
+
+def _makhlin_invariants(u):
+    """Local invariants G1, G2 of a 4x4 unitary from its magic-basis M^T M."""
+    m = _MAGIC.conj().T @ u @ _MAGIC
+    mm = m.T @ m
+    det = np.linalg.det(u)
+    tr = np.trace(mm)
+    return tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)
+
+
+DEGENERATE_CLASSES = {
+    "identity": [0, 0, 0],
+    "cnot": [PI_4, 0, 0],
+    "b": [PI_4, np.pi / 8, 0],
+    "controlled_sqrt_x": [np.pi / 8, 0, 0],
+    "swap": [PI_4, PI_4, PI_4],
+    "sqrt_swap": [np.pi / 8, np.pi / 8, np.pi / 8],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CLASSES))
+def test_decompose_near_degenerate_classes(name):
+    rng = np.random.default_rng(401)
+    for eps in (0.0, 1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        for _ in range(8):
+            d = np.array(DEGENERATE_CLASSES[name]) + eps * rng.uniform(-1, 1, 3)
+            u = _dress(d, rng)
+            form = cartan_decompose(u)
+            d_min_geometric(form.d)
+            assert form.residual <= 1e-9, (name, eps)
+            assert in_weyl_region(form.d), (name, eps, form.d)
+            g_in = _makhlin_invariants(u)
+            g_out = _makhlin_invariants(canonical_unitary(form.d))
+            assert max(abs(g_in[0] - g_out[0]), abs(g_in[1] - g_out[1])) <= 1e-12, (name, eps)
+
+
+def test_decompose_face_tie_break():
+    # Just below the ax = pi/4 face the triple is its own representative,
+    # az < 0 included; on the face the representative with az >= 0 is chosen.
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        ay = rng.uniform(0.1, 0.7)
+        az = rng.uniform(0, ay)
+        below = np.array([PI_4 - 5e-10, ay, -az])
+        form = cartan_decompose(_dress(below, rng))
+        assert in_weyl_region(form.d), form.d
+        assert np.max(np.abs(form.d - below)) <= 1e-10
+        form = cartan_decompose(_dress([PI_4, ay, -az], rng))
+        assert in_weyl_region(form.d), form.d
+        assert np.max(np.abs(form.d - [PI_4, ay, az])) <= 1e-10
 
 
 def test_reduce_to_weyl_examples():

@@ -6,7 +6,6 @@ import pytest
 from gatecap.linalg import (
     DimensionMismatchError,
     NotUnitaryError,
-    PAULI_X,
     PAULI_Y,
     PAULI_Z,
     check_state,
@@ -15,31 +14,10 @@ from gatecap.linalg import (
     haar_random_unitary,
     is_unitary,
     kron,
-    multiply,
     random_product_state,
     random_pure_state,
     unitarity_defect,
 )
-
-
-def test_multiply_identity():
-    eye = np.eye(4, dtype=complex)
-    assert np.allclose(multiply(eye, eye), eye)
-
-
-def test_multiply_unitary_adjoint_is_identity():
-    rng = np.random.default_rng(3)
-    u = haar_random_unitary(4, rng)
-    assert np.max(np.abs(multiply(u, u.conj().T) - np.eye(4))) <= 1e-12
-
-
-def test_multiply_pauli_product():
-    assert np.allclose(multiply(PAULI_X, PAULI_Y), 1j * PAULI_Z)
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        multiply(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
 
 
 def test_kron_identities():
@@ -82,6 +60,22 @@ def test_eig_unitary_reconstruction():
         # orthonormality
         v = decomp.vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_eig_unitary_near_degenerate_phases(delta):
+    # Phase pairs (t, -t + delta) share their cosine and (p, p + delta) their
+    # eigenvalue, to within delta: nearly degenerate in (U + U^dag)/2 alone,
+    # and in both Hermitian parts.
+    rng = np.random.default_rng(211)
+    for _ in range(50):
+        t, p = rng.uniform(-np.pi, np.pi, 2)
+        v = haar_random_unitary(4, rng)
+        u = (v * np.exp(1j * np.array([t, -t + delta, p, p + delta]))) @ v.conj().T
+        decomp = eig_unitary(u)
+        assert np.max(np.abs(decomp.reconstruct() - u)) <= 1e-9
+        w = decomp.vectors
+        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) <= 1e-10
 
 
 def test_eig_unitary_rejects_non_unitary():
