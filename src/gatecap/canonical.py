@@ -163,7 +163,6 @@ class _TrackedVector:
         self.lb = I2.copy()
         self.ra = I2.copy()
         self.rb = I2.copy()
-        self.negated = False
 
     def shift(self, k: int, step: int) -> None:
         # U_d(v + n*pi/2 e_k) differs from U_d(v) by i^n (s_k (x) s_k) and a phase.
@@ -181,7 +180,6 @@ class _TrackedVector:
         self.v[k] *= -1
         self.la = self.la @ sigma
         self.ra = sigma @ self.ra
-        self.negated = not self.negated
 
     def swap(self, j: int, k: int) -> None:
         # Conjugating both qubits by the third-axis pi/2 rotation swaps j and k.
@@ -229,20 +227,6 @@ def _canonicalize_vector(raw) -> _TrackedVector:
         t.negate(0, 2)
     t.phase = wrap_angle(t.phase)
     return t
-
-
-def reduce_to_weyl(d_raw):
-    """Map an arbitrary triple to its representative in the standard region.
-
-    Returns ``(d, negated)`` where ``negated`` records whether a pair-sign
-    flip (conjugation by a local Pauli) was part of the reduction.  Triples
-    already in the region are returned unchanged.
-    """
-    d_raw = _as_triple(d_raw)
-    if in_weyl_region(d_raw):
-        return d_raw.copy(), False
-    t = _canonicalize_vector(d_raw)
-    return t.v.copy(), t.negated
 
 
 def kron_factor(m: np.ndarray):

@@ -16,6 +16,8 @@ import time
 import numpy as np
 
 from .canonical import (
+    MAGIC,
+    MAGIC_DAG,
     DecompositionError,
     canonical_unitary,
     cartan_decompose,
@@ -24,13 +26,14 @@ from .canonical import (
 )
 from .capacities import verify_relation1, verify_relation2
 from .distinguishability import (
+    _residual,
     d_min_canonical,
     d_min_geometric,
+    hull_min_distance,
     verify_theorem,
-    verify_theorem_quartic,
 )
 from .entanglement import capacities_closed_form
-from .linalg import NotUnitaryError, check_unitary, haar_random_unitary
+from .linalg import NotUnitaryError, check_unitary, eig_unitary, haar_random_unitary
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 from .serialization import MalformedInputError, load_matrix, matrix_to_json
 
@@ -102,8 +105,8 @@ def cmd_analyze(args) -> int:
         "capacities": caps.to_json(),
         "d_min": d_min,
         "theorem": {
-            "quadratic": verify_theorem(form.d, route="geometric").to_json(),
-            "quartic": verify_theorem_quartic(form.d, route="geometric").to_json(),
+            "quadratic": _residual(caps, d_min["geometric"], "geometric").to_json(),
+            "quartic": _residual(caps, d_min["geometric"], "geometric", quartic=True).to_json(),
         },
         "timings": {
             "decompose_s": t_decomp - t_start,
@@ -198,8 +201,15 @@ def cmd_capacities(args) -> int:
 
 
 def _verify_residual(u: np.ndarray, form, route: str, cfg: SearchConfig) -> float:
-    if route in ("closed", "geometric"):
-        return verify_theorem(form.d, route=route).residual
+    if route == "closed":
+        return verify_theorem(form.d).residual
+    if route == "geometric":
+        # D_min from the input itself, not from d: in the magic basis M^T M
+        # has the spectrum of U_d^2 up to a global phase, which only rotates
+        # the hull.
+        m = MAGIC_DAG @ u @ MAGIC
+        d_min = hull_min_distance(eig_unitary(m.T @ m).phases)
+        return _residual(capacities_closed_form(form.d), d_min, route).residual
     if route == "numeric":
         oracle = max_concurrence_product(u, cfg).value
         return abs(oracle - capacities_closed_form(form.d).c_max_prod)
@@ -301,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="batch theorem verification over Haar samples")
     p.add_argument("--trials", type=int, required=True, help="number of Haar samples")
     p.add_argument("--routes", default="closed,geometric",
-                   help="comma-separated: closed, geometric, numeric")
+                   help="comma-separated: closed (d only), geometric (D_min from "
+                        "the input's spectrum), numeric (product search on the input)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", parents=[common],

@@ -14,26 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (
-    _as_triple,
-    canonical_unitary,
-    eigenphase_vector,
-    mirror_negative_alpha_z,
-)
-from .entanglement import capacities_closed_form, is_perfect_entangler
-from .linalg import DimensionMismatchError, check_unitary, dagger, eig_unitary
+from .canonical import _as_triple, canonical_unitary, mirror_negative_alpha_z
+from .entanglement import CapacityReport, capacities_closed_form, is_perfect_entangler
+from .linalg import eig_unitary
 
-HULL_DEDUP_TOL = 1e-10
 GAP_BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectrumHull:
-    """Convex hull of unit-circle points and its distance from the origin."""
-
-    phases: np.ndarray
-    hull_vertices: np.ndarray
-    d_min: float
 
 
 @dataclass(frozen=True)
@@ -54,83 +39,64 @@ class TheoremResidual:
         }
 
 
-def _dedup_phases(phases: np.ndarray, tol: float = HULL_DEDUP_TOL) -> np.ndarray:
-    """Cluster near-identical angles on the circle (wrap-around aware)."""
-    phases = np.sort(np.mod(phases, 2 * np.pi))
-    keep = [phases[0]]
-    for theta in phases[1:]:
-        if theta - keep[-1] > tol:
-            keep.append(theta)
-    # first and last may be the same point across the 2pi seam
-    if len(keep) > 1 and (2 * np.pi - keep[-1]) + keep[0] <= tol:
-        keep.pop()
-    return np.array(keep)
+def _largest_gap(phases):
+    """Sort phases on [0, 2pi); return (order, wrapped, gaps, k).
+
+    ``wrapped = phases mod 2pi`` in ascending order, ``gaps[k]`` runs from
+    ``wrapped[k]`` to the next point (the last gap across the seam back to
+    ``wrapped[0]``), and ``k`` indexes the largest gap.
+    """
+    phases = np.asarray(phases, dtype=float).ravel()
+    if phases.size == 0:
+        raise ValueError("the hull requires at least one phase")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases contain non-finite values")
+    wrapped = np.mod(phases, 2 * np.pi)
+    order = np.argsort(wrapped)
+    wrapped = wrapped[order]
+    gaps = np.diff(np.append(wrapped, wrapped[0] + 2 * np.pi))
+    return order, wrapped, gaps, int(np.argmax(gaps))
 
 
-def hull_min_distance(phases) -> SpectrumHull:
+def hull_min_distance(phases) -> float:
     """Distance from the origin to the convex hull of points exp(i*theta).
 
     The origin lies inside the hull iff no circular gap between consecutive
     points exceeds pi; otherwise the nearest hull feature is the chord
     closing the largest gap, at distance -cos(gap/2).
     """
-    phases = np.asarray(phases, dtype=float).ravel()
-    if phases.size == 0:
-        raise ValueError("hull_min_distance requires at least one phase")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("phases contain non-finite values")
-    unique = _dedup_phases(phases)
-    vertices = np.exp(1j * unique)
-    if unique.size == 1:
-        return SpectrumHull(phases=phases, hull_vertices=vertices, d_min=1.0)
-    gaps = np.diff(np.append(unique, unique[0] + 2 * np.pi))
-    largest = float(np.max(gaps))
-    if largest <= np.pi + GAP_BOUNDARY_TOL:
-        d_min = 0.0
-    else:
-        d_min = float(-np.cos(largest / 2))
-    return SpectrumHull(phases=phases, hull_vertices=vertices, d_min=min(max(d_min, 0.0), 1.0))
+    _, _, gaps, k = _largest_gap(phases)
+    if gaps[k] <= np.pi + GAP_BOUNDARY_TOL:
+        return 0.0
+    return float(-np.cos(gaps[k] / 2))
 
 
 def hull_optimal_weights(phases):
     """A probability vector over the given phases attaining the hull minimum.
 
     Returns ``(weights, d_min)`` with |sum_j w_j exp(i theta_j)| = d_min.
+    Within ``GAP_BOUNDARY_TOL`` of a largest gap of pi the chord midpoint is
+    used, which lies that close to the origin.
     """
-    phases = np.asarray(phases, dtype=float).ravel()
-    hull = hull_min_distance(phases)
-    n = phases.size
-    if hull.d_min > 0.0:
-        # Optimal point is the midpoint of the chord closing the largest gap
-        # (or the single repeated eigenvalue).
-        unique = _dedup_phases(phases)
-        if unique.size == 1:
-            weights = np.zeros(n)
-            weights[0] = 1.0
-            return weights, hull.d_min
-        gaps = np.diff(np.append(unique, unique[0] + 2 * np.pi))
-        k = int(np.argmax(gaps))
-        lo, hi = unique[k], unique[(k + 1) % unique.size]
-        weights = np.zeros(n)
-        wrapped = np.mod(phases, 2 * np.pi)
-        for target in (lo, hi):
-            sel = np.isclose(np.cos(wrapped - target), 1.0, atol=1e-12)
-            weights[sel] = 0.5 / max(np.count_nonzero(sel), 1)
-        weights /= weights.sum()
-        return weights, hull.d_min
-    # Origin inside the hull: solve sum_j w_j exp(i theta_j) = 0 as a
-    # linear feasibility problem over the simplex.
-    from scipy.optimize import linprog
-
-    a_eq = np.vstack([np.cos(phases), np.sin(phases), np.ones(n)])
-    b_eq = np.array([0.0, 0.0, 1.0])
-    res = linprog(c=np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=[(0, 1)] * n,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError("failed to find a zero-sum convex combination of spectrum points")
-    weights = np.clip(res.x, 0.0, None)
-    weights /= weights.sum()
-    return weights, 0.0
+    order, wrapped, gaps, k = _largest_gap(phases)
+    d_min = hull_min_distance(phases)
+    weights = np.zeros(order.size)
+    if gaps[k] >= np.pi - GAP_BOUNDARY_TOL:
+        # Midpoint of the chord closing the largest gap (for a single
+        # repeated point both ends are the same point).
+        weights[order[k]] += 0.5
+        weights[order[(k + 1) % order.size]] += 0.5
+        return weights, d_min
+    # Every gap is shorter than pi by the margin above, so the antipode of
+    # the first point lies strictly between two later points j and j + 1,
+    # and those three points span a triangle containing the origin.
+    j = int(np.searchsorted(wrapped - wrapped[0], np.pi, side="right")) - 1
+    corners = order[[0, j, j + 1]]
+    theta = wrapped[[0, j, j + 1]]
+    a = np.vstack([np.cos(theta), np.sin(theta), np.ones(3)])
+    w = np.clip(np.linalg.solve(a, [0.0, 0.0, 1.0]), 0.0, None)
+    weights[corners] = w / w.sum()
+    return weights, d_min
 
 
 def d_min_canonical(d) -> float:
@@ -148,20 +114,30 @@ def d_min_canonical(d) -> float:
     return float(-np.cos(2 * (ay + az)))
 
 
-def min_overlap(s: np.ndarray, t: np.ndarray) -> float:
-    """Minimum over probe states of |<phi| S^dag T |phi>|."""
-    s = check_unitary(s)
-    t = check_unitary(t)
-    if s.shape != t.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {s.shape} vs {t.shape}")
-    v = dagger(s) @ t
-    return hull_min_distance(eig_unitary(v).phases).d_min
-
-
 def d_min_geometric(d) -> float:
     """Minimum overlap of U_d vs its adjoint from the actual matrix spectrum."""
     u_d = canonical_unitary(d)
-    return hull_min_distance(eig_unitary(u_d @ u_d).phases).d_min
+    return hull_min_distance(eig_unitary(u_d @ u_d).phases)
+
+
+def _d_min(d, route: str) -> float:
+    if route == "closed":
+        return d_min_canonical(d)
+    if route == "geometric":
+        return d_min_geometric(d)
+    raise ValueError(f"unknown route {route!r}; expected 'closed' or 'geometric'")
+
+
+def _residual(caps: CapacityReport, d_min: float, route: str,
+              quartic: bool = False) -> TheoremResidual:
+    """The identity's residual from closed-form capacities and one D_min.
+
+    Quadratic: c_max_prod^2 + D_min^2 = 1; quartic: c_max^4 + D_min^2 = 1.
+    """
+    c_term = caps.c_max ** 4 if quartic else caps.c_max_prod * caps.c_max_prod
+    d_sq = d_min * d_min
+    return TheoremResidual(c_prod_sq=c_term, d_min_sq=d_sq,
+                           residual=abs(c_term + d_sq - 1.0), route=route)
 
 
 def verify_theorem(d, route: str = "closed") -> TheoremResidual:
@@ -171,43 +147,9 @@ def verify_theorem(d, route: str = "closed") -> TheoremResidual:
     closed form in the triple, "geometric" the convex hull of the actual
     spectrum of U_d squared.
     """
-    c_prod = capacities_closed_form(d).c_max_prod
-    if route == "closed":
-        dm = d_min_canonical(d)
-    elif route == "geometric":
-        dm = d_min_geometric(d)
-    else:
-        raise ValueError(f"unknown route {route!r}; expected 'closed' or 'geometric'")
-    c_sq = c_prod * c_prod
-    d_sq = dm * dm
-    return TheoremResidual(c_prod_sq=c_sq, d_min_sq=d_sq,
-                           residual=abs(c_sq + d_sq - 1.0), route=route)
+    return _residual(capacities_closed_form(d), _d_min(d, route), route)
 
 
 def verify_theorem_quartic(d, route: str = "closed") -> TheoremResidual:
     """Check (unrestricted capacity)^4 + (minimum overlap)^2 = 1."""
-    c_max = capacities_closed_form(d).c_max
-    dm = d_min_canonical(d) if route == "closed" else d_min_geometric(d)
-    c4 = c_max ** 4
-    d_sq = dm * dm
-    return TheoremResidual(c_prod_sq=c4, d_min_sq=d_sq,
-                           residual=abs(c4 + d_sq - 1.0), route=route)
-
-
-def is_hermitian_canonical(d, tol: float = 1e-8) -> bool:
-    """Whether U_d is Hermitian up to a global phase.
-
-    The operational statement behind a unit minimum overlap is that U_d
-    squared is a phase times the identity, which is the phase-insensitive
-    form of Hermiticity.  Use ``is_hermitian_strict`` for the literal
-    matrix check.
-    """
-    u_d = canonical_unitary(d)
-    u2 = u_d @ u_d
-    return bool(np.max(np.abs(u2 - u2[0, 0] * np.eye(4))) <= tol)
-
-
-def is_hermitian_strict(d, tol: float = 1e-10) -> bool:
-    """Whether the matrix U_d equals its adjoint entrywise."""
-    u_d = canonical_unitary(d)
-    return bool(np.max(np.abs(u_d - dagger(u_d))) <= tol)
+    return _residual(capacities_closed_form(d), _d_min(d, route), route, quartic=True)

@@ -1,0 +1,27 @@
+"""The names the benchmark's tracer binds must exist in gatecap.
+
+perfbench/tracing.py wraps each (module, function) of its LAYERS and
+gatecap.oracle.minimize; a traced run fails if one of them is renamed or
+deleted.  The tracer is only read here, never installed.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+@pytest.mark.parametrize("module, name", _layers() + (("oracle", "minimize"),))
+def test_traced_name_resolves(module, name):
+    assert callable(getattr(importlib.import_module("gatecap." + module), name))

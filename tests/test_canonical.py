@@ -11,7 +11,6 @@ from gatecap.canonical import (
     in_weyl_region,
     kron_factor,
     mirror_negative_alpha_z,
-    reduce_to_weyl,
 )
 from gatecap.distinguishability import d_min_geometric
 from gatecap.linalg import PAULI_Z, eig_unitary, haar_random_unitary, kron, unitarity_defect
@@ -180,23 +179,27 @@ def test_decompose_face_tie_break():
         assert np.max(np.abs(form.d - [PI_4, ay, az])) <= 1e-10
 
 
+def _reduced(raw):
+    """The standard-region triple that the decomposition finds for U_d(raw)."""
+    return cartan_decompose(canonical_unitary(raw)).d
+
+
 def test_reduce_to_weyl_examples():
-    d, conj = reduce_to_weyl([np.pi / 8, PI_4, 0])
+    d = _reduced([np.pi / 8, PI_4, 0])
     assert np.allclose(d, [PI_4, np.pi / 8, 0], atol=1e-12)
 
-    d, conj = reduce_to_weyl([PI_4 + np.pi / 2, 0, 0])
+    d = _reduced([PI_4 + np.pi / 2, 0, 0])
     assert np.allclose(d, [PI_4, 0, 0], atol=1e-12)
 
-    d, conj = reduce_to_weyl([np.pi / 8, np.pi / 8, -np.pi / 16])
+    d = _reduced([np.pi / 8, np.pi / 8, -np.pi / 16])
     assert np.allclose(d, [np.pi / 8, np.pi / 8, -np.pi / 16], atol=1e-12)
-    assert conj is False
 
 
 def test_reduce_to_weyl_preserves_sin_multiset():
     rng = np.random.default_rng(31)
     for _ in range(100):
         raw = rng.uniform(-np.pi, np.pi, 3)
-        d, _ = reduce_to_weyl(raw)
+        d = _reduced(raw)
         assert in_weyl_region(d)
         got = np.sort(np.abs(np.sin(
             eigenphase_vector(d)[:, None] - eigenphase_vector(d)[None, :])).ravel())

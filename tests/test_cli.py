@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gatecap.canonical import canonical_unitary, cartan_decompose
+from gatecap.canonical import MAGIC, MAGIC_DAG, canonical_unitary, cartan_decompose
 from gatecap.cli import main
-from gatecap.linalg import haar_random_unitary, kron
+from gatecap.distinguishability import hull_min_distance, verify_theorem
+from gatecap.entanglement import capacities_closed_form
+from gatecap.linalg import eig_unitary, haar_random_unitary, kron
 from gatecap.serialization import matrix_to_json, save_matrix
 
 PI_4 = np.pi / 4
@@ -62,6 +65,27 @@ def test_analyze_deterministic_output(write_matrix, capsys):
     first.pop("timings")
     second.pop("timings")
     assert json.dumps(first) == json.dumps(second)
+
+
+def test_analyze_computes_the_spectrum_once(write_matrix, monkeypatch, capsys):
+    import gatecap.cli as cli
+    import gatecap.distinguishability as dist
+
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return eig_unitary(u)
+
+    for module in (cli, dist):
+        monkeypatch.setattr(module, "eig_unitary", counting)
+    path = write_matrix(haar_random_unitary(4, np.random.default_rng(5)))
+    assert main(["analyze", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    geometric = report["d_min"]["geometric"]
+    for key in ("quadratic", "quartic"):
+        assert report["theorem"][key]["d_min_sq"] == geometric * geometric
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -135,9 +159,16 @@ def test_verify_csv_output(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def _input_hull_residual(u, d):
+    """c_max_prod(d)^2 + D_min^2 - 1 with D_min from the spectrum of the input."""
+    c = capacities_closed_form(d).c_max_prod
+    m = MAGIC_DAG @ u @ MAGIC
+    dm = hull_min_distance(eig_unitary(m.T @ m).phases)
+    return abs(c * c + dm * dm - 1.0)
+
+
 def test_verify_decomposes_each_trial_once(tmp_path, monkeypatch, capsys):
     import gatecap.cli as cli
-    from gatecap.distinguishability import verify_theorem
 
     calls = []
 
@@ -153,10 +184,31 @@ def test_verify_decomposes_each_trial_once(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(7)
     want = ["trial,route,residual"]
     for trial in range(3):
-        d = cartan_decompose(haar_random_unitary(4, rng)).d
-        for route in ("closed", "geometric"):
-            want.append(f"{trial},{route},{verify_theorem(d, route=route).residual:.17g}")
+        u = haar_random_unitary(4, rng)
+        d = cartan_decompose(u).d
+        want.append(f"{trial},closed,{verify_theorem(d).residual:.17g}")
+        want.append(f"{trial},geometric,{_input_hull_residual(u, d):.17g}")
     assert out.read_text().strip().splitlines() == want
+
+
+def test_verify_geometric_route_catches_wrong_triple(monkeypatch, capsys):
+    # A non-perfect entangler, where both terms of the identity move with d.
+    import gatecap.cli as cli
+
+    rng = np.random.default_rng(19)
+    u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+         @ canonical_unitary([0.3, 0.1, 0.05])
+         @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+
+    def shifted(v):
+        form = cartan_decompose(v)
+        return dataclasses.replace(form, d=form.d + [0.05, 0.0, 0.0])
+
+    monkeypatch.setattr(cli, "haar_random_unitary", lambda n, rng: u)
+    monkeypatch.setattr(cli, "cartan_decompose", shifted)
+    assert main(["verify", "--trials", "1", "--routes", "closed"]) == 0
+    assert main(["verify", "--trials", "1", "--routes", "geometric"]) == 1
+    assert "max residual 9.9" in capsys.readouterr().out.splitlines()[-1]
 
 
 def test_random_weyl(capsys):

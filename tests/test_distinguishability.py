@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from gatecap.canonical import canonical_unitary, eigenphase_vector
+from gatecap.canonical import canonical_unitary
 from gatecap.distinguishability import (
     d_min_canonical,
     d_min_geometric,
     hull_min_distance,
     hull_optimal_weights,
-    is_hermitian_canonical,
-    is_hermitian_strict,
-    min_overlap,
     verify_theorem,
     verify_theorem_quartic,
 )
@@ -22,15 +19,15 @@ PI_4 = np.pi / 4
 
 
 def test_hull_single_point():
-    assert hull_min_distance([0, 0, 0, 0]).d_min == 1.0
+    assert hull_min_distance([0, 0, 0, 0]) == 1.0
 
 
 def test_hull_antipodal():
-    assert hull_min_distance([0, np.pi]).d_min == 0.0
+    assert hull_min_distance([0, np.pi]) == 0.0
 
 
 def test_hull_chord():
-    assert abs(hull_min_distance([-PI_4, PI_4]).d_min - np.cos(PI_4)) <= 1e-12
+    assert abs(hull_min_distance([-PI_4, PI_4]) - np.cos(PI_4)) <= 1e-12
 
 
 def test_hull_rejects_empty():
@@ -49,6 +46,52 @@ def test_hull_optimal_weights_attain_distance():
         assert abs(attained - d_min) <= 1e-9
 
 
+# p0 and the last point q = fl(p0 + pi) close a seam gap that rounds to just
+# below pi, although q is not past p0's antipode: a triangle built from the
+# points either side of that antipode would take p0 twice.
+_P0 = 0.1
+_NEAR_ANTIPODE = _P0 + np.pi
+
+
+@pytest.mark.parametrize("phases", [
+    pytest.param([0.7, 0.7, 0.7, 0.7], id="one-repeated-point"),
+    pytest.param([0.3, 0.3, 2.0, 2.0], id="duplicates-outside"),
+    pytest.param([0.0, 0.0, 2.0, 4.0, 4.0], id="duplicates-inside"),
+    pytest.param([0.0, np.pi], id="antipodal-pair"),
+    pytest.param([0.0, np.pi, 2.0, 4.5], id="antipodal-pair-on-triangle-edge"),
+    pytest.param([-np.pi / 2, np.pi / 2, np.pi], id="largest-gap-exactly-pi"),
+    pytest.param([0.0, np.pi / 2, np.pi, 3 * np.pi / 2], id="square"),
+    pytest.param([-1e-12, 1e-12, 3e-12], id="scaled-1e-12"),
+    pytest.param([1e-12, 2e-12, 1e-12 + np.pi], id="scaled-1e-12-with-antipode"),
+    pytest.param([_P0, 1.5, _NEAR_ANTIPODE], id="seam-gap-just-below-pi"),
+])
+def test_hull_optimal_weights_edge_cases(phases):
+    if phases[0] == _P0:
+        assert (_P0 + 2 * np.pi) - _NEAR_ANTIPODE < np.pi
+        assert _NEAR_ANTIPODE - _P0 <= np.pi
+    phases = np.array(phases)
+    weights, d_min = hull_optimal_weights(phases)
+    assert d_min == hull_min_distance(phases)
+    assert weights.min() >= 0
+    assert abs(weights.sum() - 1) <= 1e-12
+    assert abs(np.abs(np.sum(weights * np.exp(1j * phases))) - d_min) <= 1e-12
+
+
+def test_hull_optimal_weights_seeded_corpus():
+    # Sets of 1-5 phases with exact duplicates, antipodes and near-antipodes.
+    rng = np.random.default_rng(89)
+    for _ in range(500):
+        phases = list(rng.uniform(-np.pi, np.pi, rng.integers(1, 4)))
+        for _ in range(rng.integers(0, 3)):
+            base = phases[rng.integers(len(phases))]
+            phases.append(base + rng.choice([0.0, np.pi, np.pi + rng.uniform(-1e-9, 1e-9)]))
+        phases = np.array(phases[:5])
+        weights, d_min = hull_optimal_weights(phases)
+        assert weights.min() >= 0
+        assert abs(weights.sum() - 1) <= 1e-12
+        assert abs(np.abs(np.sum(weights * np.exp(1j * phases))) - d_min) <= 1e-12
+
+
 def test_d_min_canonical_cases():
     assert d_min_canonical([PI_4, 0, 0]) == 0.0
     assert abs(d_min_canonical([np.pi / 8, 0, 0]) - np.cos(PI_4)) <= 1e-12
@@ -63,14 +106,6 @@ def test_d_min_closed_matches_geometry():
         assert abs(d_min_canonical(d) - d_min_geometric(d)) <= 1e-10
 
 
-def test_min_overlap_examples():
-    eye = np.eye(4, dtype=complex)
-    assert min_overlap(eye, eye) == 1.0
-    assert min_overlap(eye, np.diag([1, -1, 1, 1]).astype(complex)) == 0.0
-    u_d = canonical_unitary([np.pi / 8, 0, 0])
-    assert abs(min_overlap(u_d.conj().T, u_d) - np.cos(PI_4)) <= 1e-12
-
-
 def test_verify_theorem_examples():
     assert verify_theorem([0, 0, 0]).residual <= 1e-12
     assert verify_theorem([np.pi / 8, 0, 0]).residual <= 1e-12
@@ -82,9 +117,10 @@ def test_verify_theorem_quartic():
     assert verify_theorem_quartic([0.2, 0.1, -0.05], route="geometric").residual <= 1e-9
 
 
-def test_verify_theorem_unknown_route():
+@pytest.mark.parametrize("check", [verify_theorem, verify_theorem_quartic])
+def test_verify_theorem_unknown_route(check):
     with pytest.raises(ValueError):
-        verify_theorem([0, 0, 0], route="mystery")
+        check([0, 0, 0], route="mystery")
 
 
 def test_perfect_entangler_iff_zero_distance():
@@ -101,14 +137,6 @@ def test_unit_distance_implies_degenerate_square():
     u_d = canonical_unitary(d)
     phases = eig_unitary(u_d @ u_d).phases
     assert np.max(phases) - np.min(phases) <= 1e-8
-
-
-def test_hermiticity_cases():
-    assert is_hermitian_canonical([0, 0, 0])
-    assert is_hermitian_canonical([PI_4, PI_4, PI_4])
-    assert not is_hermitian_canonical([np.pi / 8, 0, 0])
-    assert is_hermitian_strict([0, 0, 0])
-    assert not is_hermitian_strict([PI_4, PI_4, PI_4])
 
 
 def test_mirror_symmetry_of_d_min():
