@@ -29,6 +29,15 @@ from .linalg import (
 
 RECONSTRUCTION_TOL = 1e-9
 WEYL_BOUNDARY_ATOL = 1e-12
+# kron_factor: largest | |g| - 1 | of the extracted phase g, and largest
+# entry of m - g (a (x) b).
+KRON_PHASE_TOL = 1e-6
+KRON_FACTOR_TOL = 1e-8
+# Largest off-diagonal entry of P^T (M^T M) P in the real orthogonal
+# eigenbasis P.
+MAGIC_OFFDIAG_TOL = 1e-8
+# Largest imaginary part of the left orthogonal factor k1.
+ORTHOGONAL_FACTOR_IMAG_TOL = 1e-7
 
 PI_2 = np.pi / 2
 PI_4 = np.pi / 4
@@ -256,10 +265,10 @@ def kron_factor(m: np.ndarray):
     b = ub @ vb
     ab = np.kron(a, b)
     g = np.vdot(ab.ravel(), m.ravel()) / 4
-    if abs(abs(g) - 1.0) > 1e-6:
+    if abs(abs(g) - 1.0) > KRON_PHASE_TOL:
         raise DecompositionError("matrix is not a phase times a tensor product")
     g /= abs(g)
-    if np.max(np.abs(m - g * ab)) > 1e-8:
+    if np.max(np.abs(m - g * ab)) > KRON_FACTOR_TOL:
         raise DecompositionError("tensor-product factorization failed")
     return g, a, b
 
@@ -273,7 +282,7 @@ def _magic_symmetric_eigensystem(m2: np.ndarray):
     p = simultaneous_diagonalize(re, im)
     eigvals = np.einsum("ij,ik,kj->j", p, m2, p)
     offdiag = p.T @ m2 @ p - np.diag(eigvals)
-    if np.max(np.abs(offdiag)) > 1e-8:
+    if np.max(np.abs(offdiag)) > MAGIC_OFFDIAG_TOL:
         raise DecompositionError("failed to diagonalize M^T M with a real orthogonal basis")
     if np.linalg.det(p) < 0:
         p = p.copy()
@@ -316,7 +325,7 @@ def cartan_decompose(u: np.ndarray, tol: float = RECONSTRUCTION_TOL) -> Canonica
 
     a_diag = np.exp(1j * mu)
     k1 = m @ p @ np.diag(np.conj(a_diag))
-    if np.max(np.abs(np.imag(k1))) > 1e-7:
+    if np.max(np.abs(np.imag(k1))) > ORTHOGONAL_FACTOR_IMAG_TOL:
         raise DecompositionError("left orthogonal factor has a large imaginary part")
     k1 = np.real(k1)
     k2 = p.T

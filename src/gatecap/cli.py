@@ -219,6 +219,8 @@ def _verify_residual(u: np.ndarray, form, route: str, cfg: SearchConfig) -> floa
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise MalformedInputError("--trials must be a positive integer")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise MalformedInputError("--tol must be a finite non-negative number")
     routes = [r.strip() for r in args.routes.split(",") if r.strip()]
     for route in routes:
         if route not in ("closed", "geometric", "numeric"):
@@ -261,6 +263,8 @@ def _random_weyl_triple(rng: np.random.Generator) -> np.ndarray:
 
 
 def cmd_random(args) -> int:
+    if args.count <= 0:
+        raise MalformedInputError("--count must be a positive integer")
     rng = np.random.default_rng(args.seed)
     docs = []
     for _ in range(args.count):

@@ -14,6 +14,13 @@ import numpy as np
 
 UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
+# eig_unitary: largest | |lambda| - 1 | of an eigenvalue, and largest
+# reconstruction error of the decomposition.
+EIGENVALUE_MODULUS_TOL = 1e-10
+EIG_RESIDUAL_TOL = 1e-9
+# simultaneous_diagonalize: largest off-diagonal entry, absolute, of the
+# orthogonal combination in an accepted basis.
+COMMUTING_OFFDIAG_TOL = 1e-13
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,10 +138,10 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Common eigenbasis of two commuting Hermitian (or real symmetric) matrices.
 
     Diagonalizes one generic combination a*h1 + b*h2 and accepts its basis
-    when the orthogonal combination b*h1 - a*h2 is diagonal in it to 1e-13
-    (absolute; the inputs have norm about 1).  A generic combination
-    separates every joint eigenpair however close the spectra of h1 and h2
-    are on their own.  Otherwise the next pair (a, b) is tried; when none is
+    when the orthogonal combination b*h1 - a*h2 is diagonal in it to
+    ``COMMUTING_OFFDIAG_TOL`` (absolute; the inputs have norm about 1).  A
+    generic combination separates every joint eigenpair however close the
+    spectra of h1 and h2 are on their own.  Otherwise the next pair (a, b) is tried; when none is
     accepted the last basis is returned for the caller's own checks to
     judge.  For real symmetric inputs the returned eigenvector matrix is
     real orthogonal.
@@ -142,7 +149,7 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     for a, b in _COMBINATIONS:
         _, p = np.linalg.eigh(a * h1 + b * h2)
         rest = dagger(p) @ (b * h1 - a * h2) @ p
-        if np.max(np.abs(rest - np.diag(np.diagonal(rest)))) <= 1e-13:
+        if np.max(np.abs(rest - np.diag(np.diagonal(rest)))) <= COMMUTING_OFFDIAG_TOL:
             break
     return p
 
@@ -161,14 +168,15 @@ def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> SpectralDecomposit
     vecs = simultaneous_diagonalize(h1, h2)
     eigvals = np.einsum("ij,ik,kj->j", vecs.conj(), u, vecs)
     moduli = np.abs(eigvals)
-    if np.max(np.abs(moduli - 1.0)) > 1e-10:
+    if np.max(np.abs(moduli - 1.0)) > EIGENVALUE_MODULUS_TOL:
         raise NotUnitaryError("eigendecomposition failed to converge to unit-modulus eigenvalues")
     phases = wrap_angle(np.angle(eigvals))
     order = np.argsort(phases, kind="stable")
     decomp = SpectralDecomposition(phases=phases[order], vectors=vecs[:, order])
     residual = np.max(np.abs(decomp.reconstruct() - u))
-    if residual > 1e-9:
-        raise NotUnitaryError(f"eigendecomposition residual {residual:.3e} exceeds 1e-9")
+    if residual > EIG_RESIDUAL_TOL:
+        raise NotUnitaryError(
+            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.0e}")
     return decomp
 
 

@@ -1,9 +1,10 @@
 """Brute-force optimizers that independently verify the closed forms.
 
-Coarse scans plus refinement over explicit angle parametrizations of pure
-states: the product search refines by alternating Autonne-Takagi ascent,
-the pure-input and probe searches by Nelder-Mead, all restarts of a search
-refined together in lockstep.  These searches never call the closed forms
+Each search scores a coarse pool of inputs and refines the best of them
+together: the product search by alternating Autonne-Takagi ascent over its
+two qubits, the pure-input and probe searches by one Riemannian
+conjugate-gradient ascent on unit states of C^4, all restarts of a search
+as the columns of one array.  These searches never call the closed forms
 or the spectral geometry they are meant to check; agreement between the
 routes is asserted in the test suite.
 """
@@ -22,16 +23,17 @@ from .linalg import SIGMA_YY, check_unitary
 class SearchConfig:
     """Deterministic search parameters shared by all oracle operations.
 
-    ``coarse_grid_per_angle`` is the points per angle of the coarse scan:
-    the product search scans an n x n (theta, phi) grid over its first
-    qubit, the pure-input searches draw n^3 random inputs.  ``restarts`` is
-    how many of the best coarse points (for the probe search, random
-    probes) are refined; the pure-input and probe searches refine all of
-    them together by lockstep Nelder-Mead.  ``refine_iterations`` caps each
-    refinement: Nelder-Mead iterations, and for the product search also its
-    alternating ascent sweeps.  ``tolerance`` sets the refinements'
-    stopping accuracy; the product search's ascent stops once no start
-    gains more than its square.
+    ``coarse_grid_per_angle`` (n) sizes the coarse pool: the product search
+    scans an n x n (theta, phi) grid over its first qubit, the pure-input
+    searches score n^3 Haar-random inputs.  ``restarts`` is how many of the
+    best pool points (for the probe search, seeded random probes) are
+    refined, all together.  ``refine_iterations`` caps each refinement:
+    sphere-ascent steps, the product search's alternating ascent sweeps and
+    the iterations of its 2-angle Nelder-Mead polish.  ``tolerance`` sets
+    the stopping accuracy: a sphere ascent stops a start once its step is
+    shorter than the square, the product search's ascent once no start
+    gains more than the square, and the polish at a tenth of it.  ``seed``
+    seeds the random pool and probes.
     """
 
     coarse_grid_per_angle: int = 24
@@ -61,23 +63,6 @@ def _qubit_states(thetas, phis) -> np.ndarray:
     return np.stack([np.cos(thetas / 2), np.exp(1j * phis) * np.sin(thetas / 2)], axis=-1)
 
 
-def _general_state(angles) -> np.ndarray:
-    """Two-qubit pure states from 3 magnitude angles and 3 relative phases.
-
-    ``angles`` of shape (6,) gives one state of shape (4,); shape (n, 6)
-    gives the column-stacked states, shape (4, n).
-    """
-    t1, t2, t3, p1, p2, p3 = np.asarray(angles).T
-    mags = np.array([
-        np.cos(t1 / 2),
-        np.sin(t1 / 2) * np.cos(t2 / 2),
-        np.sin(t1 / 2) * np.sin(t2 / 2) * np.cos(t3 / 2),
-        np.sin(t1 / 2) * np.sin(t2 / 2) * np.sin(t3 / 2),
-    ])
-    phases = np.exp(1j * np.array([0 * p1, p1, p2, p3]))
-    return mags * phases
-
-
 def _concurrence(states: np.ndarray) -> np.ndarray:
     """Concurrence 2|psi_0 psi_3 - psi_1 psi_2| of one state or of column-stacked states."""
     return 2 * np.abs(states[0] * states[3] - states[1] * states[2])
@@ -94,74 +79,6 @@ def _refine(objective, x0: np.ndarray, cfg: SearchConfig):
                             "xatol": cfg.tolerance / 10,
                             "fatol": cfg.tolerance / 10})
     return res.x, float(res.fun), int(res.nfev)
-
-
-def _refine_batch(objective, x0s: np.ndarray, cfg: SearchConfig):
-    """Nelder-Mead from every row of ``x0s`` at once, step for step as in scipy.
-
-    ``objective`` maps stacked points of shape (m, n) to m values.  Each
-    row runs scipy's algorithm (coefficients 1, 2, 1/2, 1/2; its initial
-    simplex, stopping rule, iteration cap and sort), with the same options
-    as ``_refine``; every step evaluates all reflections in one call, then
-    the one follow-up point each simplex needs, then the shrinks.  A
-    simplex that meets the stopping rule stops moving.  Returns the best
-    points, their values and the evaluation count of each row.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    rows, n = x0s.shape
-    tol = cfg.tolerance / 10
-    sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0s != 0, (1 + 0.05) * x0s, 0.00025)
-    fsim = objective(sim.reshape(-1, n)).reshape(rows, n + 1)
-    nfev = np.full(rows, n + 1)
-
-    def sort(sim, fsim):
-        order = np.argsort(fsim, axis=1)
-        return (np.take_along_axis(sim, order[..., None], axis=1),
-                np.take_along_axis(fsim, order, axis=1))
-
-    # scipy sorts the initial simplex twice; ties may be reordered each time.
-    sim, fsim = sort(*sort(sim, fsim))
-    active = np.ones(rows, dtype=bool)
-    # scipy counts iterations from 1 and stops at the cap.
-    for _ in range(cfg.refine_iterations - 1):
-        active &= ~((np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= tol)
-                    & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= tol))
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        s, f = sim[live], fsim[live]
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = 2 * xbar - worst
-        fxr = objective(xr)
-        expand = fxr < f[:, 0]
-        reflect = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~reflect & (fxr < f[:, -1])
-        inside = ~expand & ~reflect & ~outside
-        # Expansion, outside or inside contraction, in scipy's arithmetic.
-        trial = np.where(expand[:, None], 3 * xbar - 2 * worst,
-                         np.where(outside[:, None], 1.5 * xbar - 0.5 * worst,
-                                  0.5 * xbar + 0.5 * worst))
-        ftrial = np.full(live.size, np.inf)
-        ftrial[~reflect] = objective(trial[~reflect])
-        nfev[live] += 1 + ~reflect
-        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < f[:, -1])))
-        take_reflection = reflect | (expand & ~take_trial)
-        shrink = (outside | inside) & ~take_trial
-        s[take_trial, -1] = trial[take_trial]
-        f[take_trial, -1] = ftrial[take_trial]
-        s[take_reflection, -1] = xr[take_reflection]
-        f[take_reflection, -1] = fxr[take_reflection]
-        if shrink.any():
-            best = s[shrink, :1]
-            s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
-            f[shrink, 1:] = objective(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
-            nfev[live[shrink]] += n
-        sim[live], fsim[live] = sort(s, f)
-    return sim[:, 0], fsim[:, 0], nfev
 
 
 def _takagi_top(m: np.ndarray):
@@ -241,49 +158,104 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
                         evaluations=evaluations)
 
 
-def _max_pure_input_gain(u: np.ndarray, gain, cfg: SearchConfig, seeds=()):
-    """Maximize gain(C(U psi), C(psi)) over two-qubit pure inputs psi.
+def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random two-qubit pure states, the columns of a (4, count) array."""
+    z = rng.standard_normal((4, count)) + 1j * rng.standard_normal((4, count))
+    return z / np.linalg.norm(z, axis=0)
 
-    ``gain`` maps arrays of output and input concurrences to gains.  The
-    6-parameter manifold of pure states (normalization and global phase
-    quotiented) is sampled at random; the given seed angles and the best
-    samples are refined together by lockstep Nelder-Mead, and the
-    incumbent is polished once more.  Returns (best gain, its angles,
-    evaluation count).
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products a_k^dag b_k of matching columns."""
+    return np.sum(a.conj() * b, axis=0)
+
+
+def _tangent(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project each column of v onto the tangent space of the unit sphere at that of psi."""
+    return v - psi * _inner(psi, v)
+
+
+def _ascend(value_and_gradient, psi: np.ndarray, cfg: SearchConfig):
+    """Riemannian conjugate-gradient ascent from every column of ``psi`` at once.
+
+    ``value_and_gradient`` maps unit states, the columns of a (4, m) array,
+    to their m real values f and the Wirtinger gradients g = df/d(conj psi),
+    so that f changes by 2 Re(g^dag dpsi).  Directions are Polak-Ribiere+
+    combinations of tangent-projected gradients, restarted whenever one is
+    not an ascent direction; a step psi + t d is retracted by normalising.
+    A step is accepted when the value strictly increases and gains at least
+    half the predicted ascent 2t Re(g^dag d); an accepted step doubles t, a
+    rejected one halves it.  A column stops once its step t|d| is below
+    ``tolerance`` squared, or after ``refine_iterations`` steps, so a column
+    of zero gradient comes back unchanged.  Returns the final states, their
+    values and the evaluation count.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n_coarse = cfg.coarse_grid_per_angle ** 3
-    samples = np.column_stack([
-        rng.uniform(0, np.pi, (n_coarse, 3)),
-        rng.uniform(0, 2 * np.pi, (n_coarse, 3)),
-    ])
-    states = _general_state(samples)
-    values = gain(_concurrence(u @ states), _concurrence(states))
-    evaluations = values.size
+    psi = np.asarray(psi, dtype=complex)
+    value, grad = value_and_gradient(psi)
+    grad = _tangent(psi, grad)
+    direction = grad
+    step = np.ones(psi.shape[1])
+    evaluations = psi.shape[1]
+    for _ in range(cfg.refine_iterations):
+        live = step * np.linalg.norm(direction, axis=0) >= cfg.tolerance ** 2
+        if not live.any():
+            break
+        trial = psi + step * direction
+        trial /= np.linalg.norm(trial, axis=0)
+        trial_value, trial_grad = value_and_gradient(trial)
+        evaluations += psi.shape[1]
+        gain = trial_value - value
+        ok = live & (gain > 0) & (gain >= step * np.real(_inner(grad, direction)))
+        step = np.where(ok, 2 * step, step / 2)
 
-    def objective(x):
-        psi = _general_state(x)
-        return -gain(_concurrence(u @ psi), _concurrence(psi))
+        new_grad = _tangent(trial, trial_grad)
+        old = np.real(_inner(grad, grad))
+        beta = np.real(_inner(new_grad, new_grad - _tangent(trial, grad)))
+        beta = np.maximum(np.divide(beta, old, out=np.zeros_like(beta), where=old > 0), 0)
+        new_direction = new_grad + beta * _tangent(trial, direction)
+        new_direction = np.where(np.real(_inner(new_grad, new_direction)) > 0,
+                                 new_direction, new_grad)
+        psi = np.where(ok, trial, psi)
+        value = np.where(ok, trial_value, value)
+        grad = np.where(ok, new_grad, grad)
+        direction = np.where(ok, new_direction, direction)
+    return psi, value, evaluations
 
+
+def _gain_objective(u: np.ndarray, power: int):
+    """Values C(U psi)^power - C(psi)^power of unit inputs, with their gradients.
+
+    C(U psi) = |psi^T G psi| with G = U^T (sy (x) sy) U, and C(psi) the same
+    with G = sy (x) sy; the Wirtinger gradient of |z|^power, z = psi^T G psi,
+    is power |z|^(power - 1) (z / |z|) conj(G psi), taking z / |z| as 0 at
+    z = 0.
+    """
+    forms = np.stack([u.T @ SIGMA_YY @ u, SIGMA_YY])
+
+    def value_and_gradient(psi):
+        forms_psi = forms @ psi
+        z = np.sum(psi * forms_psi, axis=1)
+        modulus = np.abs(z)
+        phase = np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0)
+        terms = modulus ** power
+        gradients = power * (modulus ** (power - 1) * phase)[:, None] * forms_psi.conj()
+        return terms[0] - terms[1], gradients[0] - gradients[1]
+
+    return value_and_gradient
+
+
+def _max_pure_input_gain(u: np.ndarray, power: int, cfg: SearchConfig, seeds=()):
+    """Maximize C(U psi)^power - C(psi)^power over two-qubit pure inputs psi.
+
+    ``coarse_grid_per_angle`` cubed Haar-random inputs are scored by value
+    only; the given seed states and the best samples are refined together by
+    ``_ascend``.  Returns the best state and the evaluation count.
+    """
+    pool = _random_states(cfg.coarse_grid_per_angle ** 3, np.random.default_rng(cfg.seed))
+    values = _concurrence(u @ pool) ** power - _concurrence(pool) ** power
     order = np.argsort(values)[::-1][:max(cfg.restarts - len(seeds), 1)]
-    x0s = np.concatenate([np.reshape(seeds, (-1, samples.shape[1])), samples[order]])
-    xs, fvals, nfev = _refine_batch(objective, x0s, cfg)
-    evaluations += int(nfev.sum())
-    best = int(np.argmin(fvals))
-    best_val, best_angles = -float(fvals[best]), xs[best]
-    # Final polish from the incumbent with a fresh simplex and a larger
-    # iteration budget.
-    polish_cfg = SearchConfig(coarse_grid_per_angle=cfg.coarse_grid_per_angle,
-                              restarts=cfg.restarts,
-                              refine_iterations=5 * cfg.refine_iterations,
-                              tolerance=cfg.tolerance / 100,
-                              seed=cfg.seed)
-    x, fval, nfev = _refine(objective, best_angles, polish_cfg)
-    evaluations += nfev
-    if -fval > best_val:
-        best_val = -fval
-        best_angles = x
-    return best_val, best_angles, evaluations
+    starts = np.column_stack([*seeds, pool[:, order]])
+    states, values, evaluations = _ascend(_gain_objective(u, power), starts, cfg)
+    return states[:, np.argmax(values)], pool.shape[1] + evaluations
 
 
 def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -293,19 +265,18 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     input gains more than the best product input does.  (In the magic basis
     the gain is at most max_k |w_k - omega| for any |omega| <= 1, w_k the
     eigenvalues of U_d^2, and half the widest spectral chord is
-    ``c_max_prod``.)
+    ``c_max_prod``.)  The maximum sits on the kink C(psi) = 0, which the
+    ascent alone approaches poorly, so the product search's maximizer is
+    refined alongside the best random inputs.  The value is recomputed from
+    the returned state.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_delta_concurrence expects a 4x4 unitary")
-    # Zero-concurrence inputs are exactly the product states, so the refined
-    # product-capacity maximizer is a guaranteed lower bound; use it as a
-    # seed alongside the random pool.
     prod_search = max_concurrence_product(u, cfg)
-    prod_seed = _state_to_angles(prod_search.argmax_state)
-    best_val, best_angles, evaluations = _max_pure_input_gain(
-        u, lambda c_out, c_in: c_out - c_in, cfg, seeds=(prod_seed,))
-    return SearchResult(value=min(best_val, 1.0), argmax_state=_general_state(best_angles),
+    state, evaluations = _max_pure_input_gain(u, 1, cfg, seeds=(prod_search.argmax_state,))
+    value = float(_concurrence(u @ state) - _concurrence(state))
+    return SearchResult(value=min(value, 1.0), argmax_state=state,
                         evaluations=evaluations + prod_search.evaluations)
 
 
@@ -315,45 +286,44 @@ def max_concurrence_unrestricted(u: np.ndarray,
 
     The maximum runs over all two-qubit pure inputs, entangled ones
     included; this is the quantity the closed-form ``c_max`` stands for.
-    The search is seeded from random inputs only.
+    The best of ``coarse_grid_per_angle`` cubed random inputs are refined by
+    sphere ascent with no other seed, and the value is recomputed from the
+    returned state.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_unrestricted expects a 4x4 unitary")
-    best_val, best_angles, evaluations = _max_pure_input_gain(
-        u, lambda c_out, c_in: c_out ** 2 - c_in ** 2, cfg)
-    return SearchResult(value=float(np.sqrt(min(max(best_val, 0.0), 1.0))),
-                        argmax_state=_general_state(best_angles), evaluations=evaluations)
+    state, evaluations = _max_pure_input_gain(u, 2, cfg)
+    tangle_gain = float(_concurrence(u @ state) ** 2 - _concurrence(state) ** 2)
+    return SearchResult(value=float(np.sqrt(min(max(tangle_gain, 0.0), 1.0))),
+                        argmax_state=state, evaluations=evaluations)
+
+
+def _probe_objective(v: np.ndarray):
+    """Values -|<phi|V|phi>|^2 of unit probes, with their Wirtinger gradients."""
+    v_dag = v.conj().T
+
+    def value_and_gradient(phi):
+        v_phi = v @ phi
+        w = _inner(phi, v_phi)
+        return -np.abs(w) ** 2, -(w.conj() * v_phi + w * (v_dag @ phi))
+
+    return value_and_gradient
 
 
 def min_probe_overlap(v: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Minimum over probe states of |<phi|V|phi>|.
 
-    ``restarts`` seeded random probes are refined together by lockstep
-    Nelder-Mead, and the best one is returned with its own value.  The
-    search never consults the spectrum of V, so it checks the hull geometry
-    of ``d_min_geometric`` and the closed form independently.
+    ``restarts`` seeded random probes are refined together by sphere ascent
+    on -|<phi|V|phi>|^2, and the best one is returned with its own value.
+    The search never consults the spectrum of V, so it checks the hull
+    geometry of ``d_min_geometric`` and the closed form independently.
     """
     v = check_unitary(v)
-
-    def objective(x):
-        psi = _general_state(x)
-        return np.abs(np.sum(psi.conj() * (v @ psi), axis=0))
-
-    rng = np.random.default_rng(cfg.seed)
-    x0s = rng.uniform(0, np.repeat([np.pi, 2 * np.pi], 3), (cfg.restarts, 6))
-    xs, fvals, nfev = _refine_batch(objective, x0s, cfg)
-    best = int(np.argmin(fvals))
-    return SearchResult(value=float(fvals[best]), argmax_state=_general_state(xs[best]),
-                        evaluations=int(nfev.sum()))
-
-
-def _state_to_angles(psi: np.ndarray) -> np.ndarray:
-    """Invert the 6-angle parametrization, fixing the global phase."""
-    mags = np.abs(psi)
-    ref = int(np.argmax(mags > 1e-6))
-    psi = psi * np.exp(-1j * np.angle(psi[ref]))
-    t1 = 2 * np.arctan2(np.linalg.norm(mags[1:]), mags[0])
-    t2 = 2 * np.arctan2(np.linalg.norm(mags[2:]), mags[1])
-    t3 = 2 * np.arctan2(mags[3], mags[2])
-    return np.array([t1, t2, t3, *np.angle(psi[1:])])
+    if v.shape != (4, 4):
+        raise ValueError("min_probe_overlap expects a 4x4 unitary")
+    probes = _random_states(cfg.restarts, np.random.default_rng(cfg.seed))
+    states, values, evaluations = _ascend(_probe_objective(v), probes, cfg)
+    best = states[:, np.argmax(values)]
+    return SearchResult(value=float(abs(np.vdot(best, v @ best))), argmax_state=best,
+                        evaluations=evaluations)

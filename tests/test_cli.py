@@ -146,6 +146,12 @@ def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(tol, capsys):
+    assert main(["verify", "--trials", "2", "--tol", tol]) == 2
+    assert "malformed-input" in capsys.readouterr().err
+
+
 def test_verify_unknown_route(capsys):
     assert main(["verify", "--trials", "1", "--routes", "sideways"]) == 2
 
@@ -218,6 +224,14 @@ def test_random_weyl(capsys):
     for row in rows:
         ax, ay, az = json.loads(row)["d"]
         assert abs(az) <= ay <= ax <= PI_4
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_random_rejects_non_positive_count(count, capsys):
+    assert main(["random", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed-input" in captured.err
 
 
 def test_random_matrix_is_unitary(capsys):

@@ -1,8 +1,9 @@
 """Tests for the brute-force search oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from gatecap.canonical import canonical_unitary, cartan_decompose, in_weyl_region
 from gatecap.distinguishability import d_min_canonical
@@ -10,9 +11,11 @@ from gatecap.entanglement import capacities_closed_form, concurrence, concurrenc
 from gatecap.linalg import haar_random_unitary, kron
 from gatecap.oracle import (
     SearchConfig,
+    _ascend,
     _concurrence,
-    _general_state,
-    _refine_batch,
+    _gain_objective,
+    _probe_objective,
+    _random_states,
     _takagi_top,
     max_concurrence_product,
     max_concurrence_unrestricted,
@@ -31,54 +34,53 @@ def test_config_validation():
         SearchConfig(tolerance=-1.0)
 
 
-def test_general_state_batch_matches_single():
-    rng = np.random.default_rng(0)
-    angles = np.column_stack([rng.uniform(0, np.pi, (200, 3)),
-                              rng.uniform(0, 2 * np.pi, (200, 3))])
-    batch = _general_state(angles)
-    assert all(np.array_equal(batch[:, k], _general_state(angles[k])) for k in range(200))
-    spin_flip = [concurrence_conjugate_form(batch[:, k]) for k in range(200)]
-    assert np.max(np.abs(_concurrence(batch) - spin_flip)) <= 1e-15
+@pytest.mark.parametrize("search", [max_concurrence_product, max_concurrence_unrestricted,
+                                    max_delta_concurrence, min_probe_overlap])
+def test_searches_reject_single_qubit_gates(search):
+    with pytest.raises(ValueError, match="expects a 4x4 unitary"):
+        search(np.eye(2, dtype=complex))
 
 
-def _scipy_nelder_mead(objective, x0, cfg):
-    return minimize(objective, x0, method="Nelder-Mead",
-                    options={"maxiter": cfg.refine_iterations,
-                             "xatol": cfg.tolerance / 10, "fatol": cfg.tolerance / 10})
+def test_concurrence_matches_spin_flip_form():
+    states = _random_states(200, np.random.default_rng(0))
+    spin_flip = [concurrence_conjugate_form(states[:, k]) for k in range(200)]
+    assert np.max(np.abs(_concurrence(states) - spin_flip)) <= 1e-15
 
 
-def test_refine_batch_matches_scipy():
-    cfg = SearchConfig()
+@pytest.mark.parametrize("objective", ["gain", "tangle gain", "probe"])
+def test_ascend_never_lowers_a_start(objective):
     u = haar_random_unitary(4, np.random.default_rng(401))
-
-    def objective(x):
-        psi = _general_state(x)
-        return -(_concurrence(u @ psi) ** 2 - _concurrence(psi) ** 2)
-
-    x0s = np.random.default_rng(402).uniform(0, np.repeat([np.pi, 2 * np.pi], 3), (32, 6))
-    xs, values, nfev = _refine_batch(objective, x0s, cfg)
-    reference = [_scipy_nelder_mead(objective, x0, cfg) for x0 in x0s]
-    assert nfev.sum() == sum(res.nfev for res in reference)
-    assert np.max(np.abs(xs - [res.x for res in reference])) <= 1e-9
-    assert np.max(np.abs(values - [res.fun for res in reference])) <= 1e-12
+    value_and_gradient = {"gain": _gain_objective(u, 1), "tangle gain": _gain_objective(u, 2),
+                          "probe": _probe_objective(u)}[objective]
+    starts = _random_states(32, np.random.default_rng(402))
+    states, values, evaluations = _ascend(value_and_gradient, starts, SearchConfig())
+    assert np.all(values >= value_and_gradient(starts)[0])
+    assert np.array_equal(values, value_and_gradient(states)[0])
+    assert np.allclose(np.linalg.norm(states, axis=0), 1.0, atol=1e-12)
+    assert evaluations > starts.shape[1]
 
 
-def test_refine_batch_converged_start_is_unchanged():
-    # The initial simplex of this start already meets the stopping rule and
-    # the start is its best vertex; the second row still has to move.
+def test_ascend_zero_gradient_column_is_unchanged():
     cfg = SearchConfig()
+    starts = _random_states(8, np.random.default_rng(403))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # For U = I the output and input concurrences cancel exactly, so every
+        # gradient vanishes and no step is taken.
+        states, values, evaluations = _ascend(_gain_objective(np.eye(4), 1), starts, cfg)
+        assert np.array_equal(states, starts)
+        assert np.all(values == 0)
+        assert evaluations == starts.shape[1]
 
-    def objective(x):
-        return np.sum(x ** 2, axis=-1)
+        # -|psi_0|^2 has zero gradient wherever psi_0 = 0; those columns stay
+        # put while the others ascend beside them.
+        def value_and_gradient(psi):
+            return -np.abs(psi[0]) ** 2, -psi[0] * (np.arange(4) == 0)[:, None]
 
-    x0s = np.array([np.full(6, 1e-8), np.full(6, 0.5)])
-    xs, values, nfev = _refine_batch(objective, x0s, cfg)
-    assert np.array_equal(xs[0], x0s[0])
-    assert values[0] == objective(x0s[0])
-    assert nfev[0] == 7
-    reference = _scipy_nelder_mead(objective, x0s[1], cfg)
-    assert nfev[1] == reference.nfev > 7
-    assert np.max(np.abs(xs[1] - reference.x)) <= 1e-9
+        flat = np.eye(4, dtype=complex)[:, 1:]
+        states, values, _ = _ascend(value_and_gradient, np.column_stack([flat, starts]), cfg)
+    assert np.array_equal(states[:, :3], flat)
+    assert np.max(np.abs(states[0, 3:])) <= 1e-6
 
 
 def test_takagi_top_attains_largest_singular_value():
@@ -220,6 +222,19 @@ def test_probe_overlap_matches_closed_form():
         u_d = canonical_unitary(d)
         got = min_probe_overlap(u_d @ u_d, FAST).value
         assert abs(got - d_min_canonical(d)) <= 1e-6
+
+
+def test_probe_overlap_haar_draw_289():
+    # A minimum on a chord between two close eigenvalues of U_d^2.
+    rng = np.random.default_rng(7)
+    for _ in range(290):
+        u = haar_random_unitary(4, rng)
+    d = cartan_decompose(u).d
+    u_d = canonical_unitary(d)
+    result = min_probe_overlap(u_d @ u_d)
+    assert abs(result.value - d_min_canonical(d)) <= 1e-6
+    psi = result.argmax_state
+    assert abs(np.abs(np.vdot(psi, u_d @ u_d @ psi)) - result.value) <= 1e-12
 
 
 def test_oracle_determinism():
