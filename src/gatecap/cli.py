@@ -200,16 +200,31 @@ def cmd_capacities(args) -> int:
     return EXIT_OK
 
 
+def _makhlin_invariants(u: np.ndarray) -> np.ndarray:
+    """Local invariants G1, G2 of a 4x4 unitary from its magic-basis M^T M
+    (Makhlin, quant-ph/0002045): two gates share them exactly when they are
+    locally equivalent."""
+    m = MAGIC_DAG @ u @ MAGIC
+    mm = m.T @ m
+    tr = np.trace(mm)
+    det = np.linalg.det(u)
+    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)])
+
+
 def _verify_residual(u: np.ndarray, form, route: str, cfg: SearchConfig) -> float:
     if route == "closed":
         return verify_theorem(form.d).residual
     if route == "geometric":
         # D_min from the input itself, not from d: in the magic basis M^T M
         # has the spectrum of U_d^2 up to a global phase, which only rotates
-        # the hull.
+        # the hull.  Inside the perfect-entangler region a wrong d still has
+        # c_max_prod = 1 and D_min = 0, so the input's local invariants are
+        # also held against those of U_d.
         m = MAGIC_DAG @ u @ MAGIC
         d_min = hull_min_distance(eig_unitary(m.T @ m).phases)
-        return _residual(capacities_closed_form(form.d), d_min, route).residual
+        identity = _residual(capacities_closed_form(form.d), d_min, route).residual
+        drift = _makhlin_invariants(u) - _makhlin_invariants(canonical_unitary(form.d))
+        return max(identity, float(np.max(np.abs(drift))))
     if route == "numeric":
         oracle = max_concurrence_product(u, cfg).value
         return abs(oracle - capacities_closed_form(form.d).c_max_prod)
@@ -316,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True, help="number of Haar samples")
     p.add_argument("--routes", default="closed,geometric",
                    help="comma-separated: closed (d only), geometric (D_min from "
-                        "the input's spectrum), numeric (product search on the input)")
+                        "the input's spectrum and its local invariants against d), "
+                        "numeric (product search on the input)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", parents=[common],
@@ -335,7 +351,7 @@ def main(argv=None) -> int:
     except NotUnitaryError as exc:
         print(f"error: not-unitary: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY
-    except (MalformedInputError, FileNotFoundError, ValueError) as exc:
+    except (MalformedInputError, OSError, ValueError) as exc:
         print(f"error: malformed-input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DecompositionError as exc:

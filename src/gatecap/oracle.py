@@ -1,12 +1,11 @@
 """Brute-force optimizers that independently verify the closed forms.
 
 Each search scores a coarse pool of inputs and refines the best of them
-together: the product search by alternating Autonne-Takagi ascent over its
-two qubits, the pure-input and probe searches by one Riemannian
-conjugate-gradient ascent on unit states of C^4, all restarts of a search
-as the columns of one array.  These searches never call the closed forms
-or the spectral geometry they are meant to check; agreement between the
-routes is asserted in the test suite.
+by one Riemannian conjugate-gradient ascent on unit vectors, all restarts
+as the columns of one array; the product search first runs alternating
+Autonne-Takagi ascent over its two qubits and then polishes its best first
+qubit.  The searches never call the closed forms or the spectral geometry
+they check; agreement between the routes is asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import SIGMA_YY, check_unitary
 
@@ -27,12 +25,10 @@ class SearchConfig:
     scans an n x n (theta, phi) grid over its first qubit, the pure-input
     searches score n^3 Haar-random inputs.  ``restarts`` is how many of the
     best pool points (for the probe search, seeded random probes) are
-    refined, all together.  ``refine_iterations`` caps each refinement:
-    sphere-ascent steps, the product search's alternating ascent sweeps and
-    the iterations of its 2-angle Nelder-Mead polish.  ``tolerance`` sets
-    the stopping accuracy: a sphere ascent stops a start once its step is
-    shorter than the square, the product search's ascent once no start
-    gains more than the square, and the polish at a tenth of it.  ``seed``
+    refined, all together.  ``refine_iterations`` caps the steps of each
+    sphere ascent and the product search's alternating sweeps.
+    ``tolerance`` squared is the step length below which a sphere ascent
+    stops a start, and the gain below which the sweeps stop.  ``seed``
     seeds the random pool and probes.
     """
 
@@ -58,27 +54,9 @@ class SearchResult:
     evaluations: int
 
 
-def _qubit_states(thetas, phis) -> np.ndarray:
-    """Single-qubit states cos(t/2)|0> + e^{i p} sin(t/2)|1>, stacked on the last axis."""
-    return np.stack([np.cos(thetas / 2), np.exp(1j * phis) * np.sin(thetas / 2)], axis=-1)
-
-
 def _concurrence(states: np.ndarray) -> np.ndarray:
     """Concurrence 2|psi_0 psi_3 - psi_1 psi_2| of one state or of column-stacked states."""
     return 2 * np.abs(states[0] * states[3] - states[1] * states[2])
-
-
-def _angle_grid(n: int, upper: float) -> np.ndarray:
-    # Include both region endpoints so degenerate extremals are sampled exactly.
-    return np.linspace(0.0, upper, n)
-
-
-def _refine(objective, x0: np.ndarray, cfg: SearchConfig):
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": cfg.refine_iterations,
-                            "xatol": cfg.tolerance / 10,
-                            "fatol": cfg.tolerance / 10})
-    return res.x, float(res.fun), int(res.nfev)
 
 
 def _takagi_top(m: np.ndarray):
@@ -106,6 +84,21 @@ def _contract(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...k,ijkl->...jl", x, x, g)
 
 
+def _product_objective(g: np.ndarray, g_swapped: np.ndarray):
+    """Values sigma_max(M(a))^2 of first qubits a, with their Wirtinger gradients.
+
+    sigma_max(M(a)) = |z|, z = a^T H a with H = sum_jl b_j b_l G[:, j, :, l]
+    for b the top Takagi vector of M(a); b being optimal, the envelope
+    theorem gives the gradient 2 z conj(H a).
+    """
+    def value_and_gradient(a):
+        b, sigma = _takagi_top(_contract(g, a.T))
+        h_a = np.einsum("mjl,lm->jm", _contract(g_swapped, b), a)
+        return sigma ** 2, 2 * np.sum(a * h_a, axis=0) * h_a.conj()
+
+    return value_and_gradient
+
+
 def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Maximum output concurrence of U over product input states.
 
@@ -116,7 +109,7 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     scores a ``coarse_grid_per_angle`` squared (theta, phi) grid over a,
     runs alternating a/b Takagi ascent from the best ``restarts`` grid
     points together for at most ``refine_iterations`` sweeps, polishes the
-    best a with Nelder-Mead on its two angles, and returns a (x) b.  Each
+    best a by sphere ascent on sigma_max(M(a))^2, and returns a (x) b.  Each
     evaluation is one 2x2 singular value decomposition.
     """
     u = check_unitary(u)
@@ -125,9 +118,11 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     g = (u.T @ SIGMA_YY @ u).reshape(2, 2, 2, 2)
     g_swapped = g.transpose(1, 0, 3, 2)  # the same form with the qubits' roles exchanged
 
+    # cos(t/2)|0> + e^{ip} sin(t/2)|1> on a grid that includes both ends of each
+    # angle's range, so degenerate extremals are sampled exactly.
     n = cfg.coarse_grid_per_angle
-    thetas, phis = np.meshgrid(_angle_grid(n, np.pi), _angle_grid(n, 2 * np.pi), indexing="ij")
-    a = _qubit_states(thetas.ravel(), phis.ravel())
+    t, p = np.meshgrid(np.linspace(0, np.pi, n), np.linspace(0, 2 * np.pi, n), indexing="ij")
+    a = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=-1).reshape(-1, 2)
     values = np.linalg.svd(_contract(g, a), compute_uv=False)[:, 0]
     evaluations = values.size
 
@@ -142,20 +137,12 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
         if converged:
             break
 
-    best = a[np.argmax(values)]
-    x0 = np.array([2 * np.arctan2(abs(best[1]), abs(best[0])),
-                   np.angle(best[1]) - np.angle(best[0])])
-
-    def objective(x):
-        return -np.linalg.svd(_contract(g, _qubit_states(*x)), compute_uv=False)[0]
-
-    x, _, nfev = _refine(objective, x0, cfg)
-    evaluations += nfev
-    a = _qubit_states(*x)
+    polish = minimize(_product_objective(g, g_swapped), a[[np.argmax(values)]].T, cfg)
+    a = polish.states[:, 0]
     b, _ = _takagi_top(_contract(g, a))
     state = np.kron(a, b)
     return SearchResult(value=min(float(_concurrence(u @ state)), 1.0), argmax_state=state,
-                        evaluations=evaluations)
+                        evaluations=evaluations + polish.nfev)
 
 
 def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,10 +161,20 @@ def _tangent(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - psi * _inner(psi, v)
 
 
-def _ascend(value_and_gradient, psi: np.ndarray, cfg: SearchConfig):
+@dataclass(frozen=True)
+class Refinement:
+    """Refined states (columns), their values, the negated best value, evaluations."""
+
+    states: np.ndarray
+    values: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refinement:
     """Riemannian conjugate-gradient ascent from every column of ``psi`` at once.
 
-    ``value_and_gradient`` maps unit states, the columns of a (4, m) array,
+    ``value_and_gradient`` maps unit vectors, the columns of an (n, m) array,
     to their m real values f and the Wirtinger gradients g = df/d(conj psi),
     so that f changes by 2 Re(g^dag dpsi).  Directions are Polak-Ribiere+
     combinations of tangent-projected gradients, restarted whenever one is
@@ -186,8 +183,10 @@ def _ascend(value_and_gradient, psi: np.ndarray, cfg: SearchConfig):
     half the predicted ascent 2t Re(g^dag d); an accepted step doubles t, a
     rejected one halves it.  A column stops once its step t|d| is below
     ``tolerance`` squared, or after ``refine_iterations`` steps, so a column
-    of zero gradient comes back unchanged.  Returns the final states, their
-    values and the evaluation count.
+    of zero gradient comes back unchanged.
+
+    Every search refines through this one module global, which
+    perfbench/tracing.py wraps to count refinements by ``nfev`` and ``fun``.
     """
     psi = np.asarray(psi, dtype=complex)
     value, grad = value_and_gradient(psi)
@@ -218,7 +217,7 @@ def _ascend(value_and_gradient, psi: np.ndarray, cfg: SearchConfig):
         value = np.where(ok, trial_value, value)
         grad = np.where(ok, new_grad, grad)
         direction = np.where(ok, new_direction, direction)
-    return psi, value, evaluations
+    return Refinement(states=psi, values=value, fun=-float(np.max(value)), nfev=evaluations)
 
 
 def _gain_objective(u: np.ndarray, power: int):
@@ -248,14 +247,14 @@ def _max_pure_input_gain(u: np.ndarray, power: int, cfg: SearchConfig, seeds=())
 
     ``coarse_grid_per_angle`` cubed Haar-random inputs are scored by value
     only; the given seed states and the best samples are refined together by
-    ``_ascend``.  Returns the best state and the evaluation count.
+    ``minimize``.  Returns the best state and the evaluation count.
     """
     pool = _random_states(cfg.coarse_grid_per_angle ** 3, np.random.default_rng(cfg.seed))
     values = _concurrence(u @ pool) ** power - _concurrence(pool) ** power
     order = np.argsort(values)[::-1][:max(cfg.restarts - len(seeds), 1)]
     starts = np.column_stack([*seeds, pool[:, order]])
-    states, values, evaluations = _ascend(_gain_objective(u, power), starts, cfg)
-    return states[:, np.argmax(values)], pool.shape[1] + evaluations
+    refined = minimize(_gain_objective(u, power), starts, cfg)
+    return refined.states[:, np.argmax(refined.values)], pool.shape[1] + refined.nfev
 
 
 def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -323,7 +322,7 @@ def min_probe_overlap(v: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Sear
     if v.shape != (4, 4):
         raise ValueError("min_probe_overlap expects a 4x4 unitary")
     probes = _random_states(cfg.restarts, np.random.default_rng(cfg.seed))
-    states, values, evaluations = _ascend(_probe_objective(v), probes, cfg)
-    best = states[:, np.argmax(values)]
+    refined = minimize(_probe_objective(v), probes, cfg)
+    best = refined.states[:, np.argmax(refined.values)]
     return SearchResult(value=float(abs(np.vdot(best, v @ best))), argmax_state=best,
-                        evaluations=evaluations)
+                        evaluations=refined.nfev)

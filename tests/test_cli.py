@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gatecap
 from gatecap.canonical import MAGIC, MAGIC_DAG, canonical_unitary, cartan_decompose
 from gatecap.cli import main
 from gatecap.distinguishability import hull_min_distance, verify_theorem
@@ -88,6 +92,23 @@ def test_analyze_computes_the_spectrum_once(write_matrix, monkeypatch, capsys):
         assert report["theorem"][key]["d_min_sq"] == geometric * geometric
 
 
+def test_analyze_imports_no_scipy(write_matrix):
+    # gatecap needs only numpy; importing scipy.optimize alone would cost
+    # several times the rest of an analyze call.
+    path = write_matrix(haar_random_unitary(4, np.random.default_rng(5)))
+    script = ("import sys, gatecap, gatecap.cli\n"
+              "assert gatecap.cli.main(['analyze', sys.argv[1], '--json']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+              "file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gatecap.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script, path], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr.strip() == "[]"
+    assert json.loads(proc.stdout)["input_sha256"]
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")
@@ -97,6 +118,16 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/u.json"]) == 2
+
+
+def test_analyze_directory_input(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 2
+    assert "malformed-input" in capsys.readouterr().err
+
+
+def test_verify_out_directory(tmp_path, capsys):
+    assert main(["verify", "--trials", "2", "--routes", "closed", "--out", str(tmp_path)]) == 2
+    assert "malformed-input" in capsys.readouterr().err
 
 
 def test_analyze_non_unitary(write_matrix, capsys):
@@ -165,12 +196,23 @@ def test_verify_csv_output(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def _makhlin(u):
+    m = MAGIC_DAG @ u @ MAGIC
+    mm = m.T @ m
+    tr = np.trace(mm)
+    det = np.linalg.det(u)
+    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)])
+
+
 def _input_hull_residual(u, d):
-    """c_max_prod(d)^2 + D_min^2 - 1 with D_min from the spectrum of the input."""
+    """The larger of |c_max_prod(d)^2 + D_min^2 - 1|, D_min from the spectrum of
+    the input, and the largest gap between the Makhlin invariants of the input
+    and those of U_d."""
     c = capacities_closed_form(d).c_max_prod
     m = MAGIC_DAG @ u @ MAGIC
     dm = hull_min_distance(eig_unitary(m.T @ m).phases)
-    return abs(c * c + dm * dm - 1.0)
+    drift = np.max(np.abs(_makhlin(u) - _makhlin(canonical_unitary(d))))
+    return max(abs(c * c + dm * dm - 1.0), drift)
 
 
 def test_verify_decomposes_each_trial_once(tmp_path, monkeypatch, capsys):
@@ -214,7 +256,39 @@ def test_verify_geometric_route_catches_wrong_triple(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cartan_decompose", shifted)
     assert main(["verify", "--trials", "1", "--routes", "closed"]) == 0
     assert main(["verify", "--trials", "1", "--routes", "geometric"]) == 1
-    assert "max residual 9.9" in capsys.readouterr().out.splitlines()[-1]
+    # The identity moves by 9.9e-2 and the local invariants by 0.19; the
+    # route reports the larger.
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert f"max residual {_input_hull_residual(u, [0.35, 0.1, 0.05]):.6e}" in line
+    assert "max residual 1.9" in line
+
+
+def test_verify_geometric_route_catches_wrong_perfect_entangler(monkeypatch, capsys):
+    # Both triples are perfect entanglers: c_max_prod stays 1 and D_min 0, so
+    # only the local invariants tell them apart.
+    import gatecap.cli as cli
+
+    rng = np.random.default_rng(23)
+    u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+         @ canonical_unitary([0.65, 0.35, 0.25])
+         @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+    assert capacities_closed_form([0.70, 0.35, 0.25]).perfect_entangler
+
+    def shifted(v):
+        form = cartan_decompose(v)
+        assert np.max(np.abs(form.d - [0.65, 0.35, 0.25])) <= 1e-9
+        return dataclasses.replace(form, d=np.array([0.70, 0.35, 0.25]))
+
+    monkeypatch.setattr(cli, "haar_random_unitary", lambda n, rng: u)
+    monkeypatch.setattr(cli, "cartan_decompose", shifted)
+    assert main(["verify", "--trials", "1", "--routes", "closed"]) == 0
+    assert main(["verify", "--trials", "1", "--routes", "geometric"]) == 1
+    assert "FAIL" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_verify_geometric_route_passes_haar_draws(capsys):
+    assert main(["verify", "--trials", "1000", "--routes", "closed,geometric"]) == 0
+    assert capsys.readouterr().out.count("pass") == 2
 
 
 def test_random_weyl(capsys):
