@@ -245,8 +245,10 @@ def cmd_verify(args) -> int:
     cfg = _search_config(args)
     residuals = {route: [] for route in routes}
     rows = []
+    inputs = []
     for trial in range(args.trials):
         u = haar_random_unitary(4, rng)
+        inputs.append(u)
         form = cartan_decompose(u)
         for route in routes:
             r = _verify_residual(u, form, route, cfg)
@@ -262,9 +264,13 @@ def cmd_verify(args) -> int:
         values = np.array(residuals[route])
         ok = bool(np.max(values) <= args.tol)
         failed = failed or not ok
+        worst = int(np.argmax(values))
+        # `random` draws its matrices from the same generator in the same
+        # order, so --count worst + 1 ends on the worst trial's input.
         print(f"route {route:<10} trials {args.trials:<6} "
               f"max residual {np.max(values):.6e}  mean {np.mean(values):.6e}  "
-              f"{'pass' if ok else 'FAIL'} (tol {args.tol:g})")
+              f"{'pass' if ok else 'FAIL'} (tol {args.tol:g})  "
+              f"worst trial {worst} seed {args.seed} sha256 {_input_hash(inputs[worst])}")
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 

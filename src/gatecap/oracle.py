@@ -10,6 +10,8 @@ they check; agreement between the routes is asserted in the test suite.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,12 @@ class SearchConfig:
     best pool points (for the probe search, seeded random probes) are
     refined, all together.  ``refine_iterations`` caps the steps of each
     sphere ascent and the product search's alternating sweeps.
-    ``tolerance`` squared is the step length below which a sphere ascent
-    stops a start, and the gain below which the sweeps stop.  ``seed``
-    seeds the random pool and probes.
+    ``tolerance`` squared is the tangent step length (for small steps, the
+    angle moved) below which a sphere ascent stops a start, and the gain
+    below which the sweeps stop.
+    ``seed`` seeds the random pool and probes.  The three counts must be
+    positive integers, the seed an integer and the tolerance positive and
+    finite; anything else raises ValueError.
     """
 
     coarse_grid_per_angle: int = 24
@@ -39,10 +44,13 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.coarse_grid_per_angle, self.restarts, self.refine_iterations) <= 0:
-            raise ValueError("grid size, restarts and refine iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        counts = (self.coarse_grid_per_angle, self.restarts, self.refine_iterations)
+        if not all(isinstance(c, numbers.Integral) and c > 0 for c in counts):
+            raise ValueError("grid size, restarts and refine iterations must be positive integers")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
+        if not (isinstance(self.tolerance, numbers.Real) and 0 < self.tolerance < np.inf):
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -151,14 +159,32 @@ def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0)
 
 
+@functools.lru_cache(maxsize=4)
+def _seeded_pool(count: int, seed: int) -> np.ndarray:
+    """``_random_states(count, default_rng(seed))``, drawn once per process.
+
+    The pure-input searches of one gate share their pool; the array is
+    read-only because every caller gets the same one.
+    """
+    pool = _random_states(count, np.random.default_rng(seed))
+    pool.flags.writeable = False
+    return pool
+
+
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products a_k^dag b_k of matching columns."""
-    return np.sum(a.conj() * b, axis=0)
+    return (a.conj() * b).sum(axis=0)
 
 
 def _tangent(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project each column of v onto the tangent space of the unit sphere at that of psi."""
     return v - psi * _inner(psi, v)
+
+
+# Each sphere-ascent iteration tries the steps t 2^k, k = -4..4, at once; when
+# none of them ascends, the next ladder is centred a factor 2 below its lowest.
+_LADDER = 2.0 ** np.arange(-4, 5)
+_FALLBACK = _LADDER[0] / 2
 
 
 @dataclass(frozen=True)
@@ -179,34 +205,54 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     so that f changes by 2 Re(g^dag dpsi).  Directions are Polak-Ribiere+
     combinations of tangent-projected gradients, restarted whenever one is
     not an ascent direction; a step psi + t d is retracted by normalising.
-    A step is accepted when the value strictly increases and gains at least
-    half the predicted ascent 2t Re(g^dag d); an accepted step doubles t, a
-    rejected one halves it.  A column stops once its step t|d| is below
-    ``tolerance`` squared, or after ``refine_iterations`` steps, so a column
-    of zero gradient comes back unchanged.
+
+    Each iteration evaluates every live column at the ladder of steps
+    t 2^k, k = -4..4, in one call, and takes the rung of largest gain among
+    those that strictly increase the value and gain at least half the
+    predicted ascent 2t Re(g^dag d).  The next ladder is centred on the
+    accepted rung; when no rung passes, the centre drops below the lowest
+    rung.  Steps are lengths t|d| on the sphere, not multiples of the
+    gradient: the first centre t = 1/|d| is a tangent step of length one,
+    so the ladder does not depend on the scale of f.  A column stops once
+    t|d| is below ``tolerance`` squared, or after ``refine_iterations``
+    steps, so a column of zero gradient comes back unchanged.  The values
+    returned are those of one call on the returned states.
 
     Every search refines through this one module global, which
     perfbench/tracing.py wraps to count refinements by ``nfev`` and ``fun``.
     """
-    psi = np.asarray(psi, dtype=complex)
-    value, grad = value_and_gradient(psi)
+    states = np.array(psi, dtype=complex)
+    values, grad = value_and_gradient(states)
+    # The working arrays hold the live columns only; cols maps them back.
+    psi, value, cols = states, values, np.arange(states.shape[1])
     grad = _tangent(psi, grad)
     direction = grad
-    step = np.ones(psi.shape[1])
-    evaluations = psi.shape[1]
+    norm = np.linalg.norm(direction, axis=0)
+    step = np.divide(1, norm, out=np.ones_like(norm), where=norm > 0)
+    evaluations = cols.size
     for _ in range(cfg.refine_iterations):
         live = step * np.linalg.norm(direction, axis=0) >= cfg.tolerance ** 2
-        if not live.any():
-            break
-        trial = psi + step * direction
+        if not live.all():
+            states[:, cols] = psi
+            psi, value, grad, direction = psi[:, live], value[live], grad[:, live], direction[:, live]
+            step, cols = step[live], cols[live]
+            if not cols.size:
+                break
+        steps = step * _LADDER[:, None]
+        trial = psi[:, None, :] + steps * direction[:, None, :]
         trial /= np.linalg.norm(trial, axis=0)
-        trial_value, trial_grad = value_and_gradient(trial)
-        evaluations += psi.shape[1]
+        trial_value, trial_grad = value_and_gradient(trial.reshape(len(psi), -1))
+        evaluations += trial_value.size
+        trial_value, trial_grad = trial_value.reshape(steps.shape), trial_grad.reshape(trial.shape)
         gain = trial_value - value
-        ok = live & (gain > 0) & (gain >= step * np.real(_inner(grad, direction)))
-        step = np.where(ok, 2 * step, step / 2)
+        passing = (gain > 0) & (gain >= steps * np.real(_inner(grad, direction)))
+        rung = np.where(passing, gain, -np.inf).argmax(axis=0)
+        ok = passing.any(axis=0)
+        step = np.where(ok, step * _LADDER[rung], step * _FALLBACK)
 
-        new_grad = _tangent(trial, trial_grad)
+        at = np.arange(cols.size)
+        trial, trial_value = trial[:, rung, at], trial_value[rung, at]
+        new_grad = _tangent(trial, trial_grad[:, rung, at])
         old = np.real(_inner(grad, grad))
         beta = np.real(_inner(new_grad, new_grad - _tangent(trial, grad)))
         beta = np.maximum(np.divide(beta, old, out=np.zeros_like(beta), where=old > 0), 0)
@@ -217,7 +263,14 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
         value = np.where(ok, trial_value, value)
         grad = np.where(ok, new_grad, grad)
         direction = np.where(ok, new_direction, direction)
-    return Refinement(states=psi, values=value, fun=-float(np.max(value)), nfev=evaluations)
+    states[:, cols] = psi
+    if evaluations > states.shape[1]:
+        # A value found within a ladder can differ in its last bit from the
+        # same column's value in a narrower call (BLAS blocks the columns by
+        # the call's width), so the values are those of one call on the states.
+        values = value_and_gradient(states)[0]
+        evaluations += states.shape[1]
+    return Refinement(states=states, values=values, fun=-float(np.max(values)), nfev=evaluations)
 
 
 def _gain_objective(u: np.ndarray, power: int):
@@ -249,7 +302,7 @@ def _max_pure_input_gain(u: np.ndarray, power: int, cfg: SearchConfig, seeds=())
     only; the given seed states and the best samples are refined together by
     ``minimize``.  Returns the best state and the evaluation count.
     """
-    pool = _random_states(cfg.coarse_grid_per_angle ** 3, np.random.default_rng(cfg.seed))
+    pool = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
     values = _concurrence(u @ pool) ** power - _concurrence(pool) ** power
     order = np.argsort(values)[::-1][:max(cfg.restarts - len(seeds), 1)]
     starts = np.column_stack([*seeds, pool[:, order]])

@@ -173,6 +173,25 @@ def test_verify_small_batch(capsys):
     assert out.count("pass") == 2
 
 
+def test_verify_worst_trial_replays(tmp_path, capsys):
+    assert main(["verify", "--trials", "12", "--seed", "7",
+                 "--routes", "closed,geometric"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        words = line.split()
+        trial, seed, sha = (words[words.index(key) + 1] for key in ("trial", "seed", "sha256"))
+        assert seed == "7"
+        trial = int(trial)
+        rows = tmp_path / "random.jsonl"
+        assert main(["random", "--seed", "7", "--count", str(trial + 1),
+                     "--out", str(rows)]) == 0
+        matrix = tmp_path / "worst.json"
+        matrix.write_text(rows.read_text().splitlines()[-1])
+        assert main(["analyze", str(matrix), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["input_sha256"] == sha
+
+
 def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == 2
 

@@ -30,10 +30,14 @@ FAST = SearchConfig(coarse_grid_per_angle=10, restarts=8)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(tolerance=-1.0)
+    # A non-finite tolerance would skip every refinement; a fractional count
+    # would fail later, inside the searches.
+    for field, value in [("restarts", 0), ("tolerance", -1.0), ("tolerance", float("nan")),
+                         ("tolerance", float("inf")), ("restarts", 2.5),
+                         ("coarse_grid_per_angle", 24.0), ("refine_iterations", 1e3),
+                         ("seed", 0.5)]:
+        with pytest.raises(ValueError):
+            SearchConfig(**{field: value})
 
 
 @pytest.mark.parametrize("search", [max_concurrence_product, max_concurrence_unrestricted,
@@ -135,6 +139,37 @@ def test_ascend_zero_gradient_column_is_unchanged():
     assert np.max(np.abs(states[0, 3:])) <= 1e-6
 
 
+def test_ascend_climbs_a_nearly_flat_objective():
+    # f = 1 + 1e-8 |psi_0|^2 on C^2: a step of the gradient's own length
+    # changes f by less than its round-off.
+    def value_and_gradient(psi):
+        return 1 + 1e-8 * np.abs(psi[0]) ** 2, 1e-8 * psi[0] * (np.arange(2) == 0)[:, None]
+
+    start = _random_states(1, np.random.default_rng(408))[:2]
+    refined = minimize(value_and_gradient, start / np.linalg.norm(start), SearchConfig())
+    assert np.abs(refined.states[0, 0]) ** 2 >= 1 - 1e-6
+
+
+def test_seeded_pool_is_drawn_once_and_read_only():
+    pool = oracle._seeded_pool(SearchConfig().coarse_grid_per_angle ** 3, 0)
+    assert pool is oracle._seeded_pool(13824, 0)
+    assert np.array_equal(pool, _random_states(13824, np.random.default_rng(0)))
+    with pytest.raises(ValueError):
+        pool[0, 0] = 0
+
+
+def test_unrestricted_search_independent_of_earlier_searches():
+    # The unrestricted and gain searches share the seeded pool.
+    u = haar_random_unitary(4, np.random.default_rng(409))
+    oracle._seeded_pool.cache_clear()
+    first = max_concurrence_unrestricted(u)
+    oracle._seeded_pool.cache_clear()
+    max_delta_concurrence(u)
+    after = max_concurrence_unrestricted(u)
+    assert first.value == after.value
+    assert np.array_equal(first.argmax_state, after.argmax_state)
+
+
 def test_takagi_top_attains_largest_singular_value():
     rng = np.random.default_rng(211)
     random = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
@@ -161,20 +196,35 @@ SPECIAL_CLASSES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SPECIAL_CLASSES))
-def test_product_capacity_near_degenerate_classes(name):
+def _near_class_gates(name):
+    """(eps, d, locally dressed U_d) for d at distances eps from the class's centre."""
     centre, direction = SPECIAL_CLASSES[name]
     rng = np.random.default_rng(307)
     for eps in (0.0, 1e-10, 1e-6, 1e-4):
         d = np.array(centre) + eps * np.array(direction)
-        assert in_weyl_region(d)
         u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
              @ canonical_unitary(d)
              @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+        yield eps, d, u
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_CLASSES))
+def test_product_capacity_near_degenerate_classes(name):
+    for eps, d, u in _near_class_gates(name):
+        assert in_weyl_region(d)
         result = max_concurrence_product(u)
         assert abs(result.value - capacities_closed_form(d).c_max_prod) <= 1e-9, (name, eps)
         assert abs(concurrence(u @ result.argmax_state) - result.value) <= 1e-12
         assert concurrence(result.argmax_state) <= 1e-12
+
+
+def test_product_polish_reaches_a_flat_maximum():
+    # Here the polished objective has gradient 3e-9 at 7e-11 below its
+    # maximum: a step proportional to the gradient gains less than round-off.
+    eps, d, u = list(_near_class_gates("sqrt_swap"))[-1]
+    assert eps == 1e-4
+    result = max_concurrence_product(u)
+    assert abs(result.value - capacities_closed_form(d).c_max_prod) <= 1e-13
 
 
 def test_product_capacity_identity():
