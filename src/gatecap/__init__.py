@@ -7,6 +7,7 @@ the closed forms independently.
 """
 
 from .linalg import (
+    DecompositionError,
     DimensionMismatchError,
     NotUnitaryError,
     SpectralDecomposition,
@@ -14,20 +15,17 @@ from .linalg import (
     check_unitary,
     eig_unitary,
     haar_random_unitary,
-    is_unitary,
     random_product_state,
     random_pure_state,
     unitarity_defect,
 )
 from .canonical import (
     CanonicalForm,
-    DecompositionError,
     canonical_unitary,
     cartan_decompose,
     eigenphase_vector,
     eigenphases,
     in_weyl_region,
-    kron_factor,
     mirror_negative_alpha_z,
 )
 from .entanglement import (
@@ -113,8 +111,6 @@ __all__ = [
     "hull_optimal_weights",
     "in_weyl_region",
     "is_perfect_entangler",
-    "is_unitary",
-    "kron_factor",
     "load_matrix",
     "matrix_from_json",
     "matrix_to_json",

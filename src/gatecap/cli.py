@@ -299,53 +299,57 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="tolerance for pass/fail gates (default 1e-9)")
-    common.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    common.add_argument("--out", default=None, help="write the report to this path")
-    common.add_argument("--degrees", action="store_true",
-                        help="print angles in degrees (default radians)")
+# Flags shared by several subcommands; each subcommand takes only those its
+# cmd_* function reads.
+_FLAGS = {
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--tol": dict(type=float, default=1e-9,
+                  help="tolerance for pass/fail gates (default 1e-9)"),
+    "--json": dict(action="store_true", help="emit JSON instead of a table"),
+    "--out": dict(default=None, help="write the report to this path"),
+    "--degrees": dict(action="store_true", help="print angles in degrees (default radians)"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatecap",
         description="Entangling capacity and distinguishability of two-qubit unitaries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full report for one 4x4 unitary")
+    def add(name, func, flags, summary):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = add("analyze", cmd_analyze, ("--seed", "--json", "--out", "--degrees"),
+            "full report for one 4x4 unitary")
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("--numeric", action="store_true",
                    help="also compute d_min by direct probe search")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="canonical decomposition only")
+    p = add("decompose", cmd_decompose, ("--json", "--out", "--degrees"),
+            "canonical decomposition only")
     p.add_argument("matrix", help="path to a matrix JSON file")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("capacities", parents=[common],
-                       help="capacity relations for a triple or matrix")
+    p = add("capacities", cmd_capacities, ("--seed", "--json", "--out", "--degrees"),
+            "capacity relations for a triple or matrix")
     p.add_argument("matrix", nargs="?", default=None, help="path to a matrix JSON file")
     p.add_argument("--d", default=None, help="interaction triple ax,ay,az in radians")
-    p.set_defaults(func=cmd_capacities)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="batch theorem verification over Haar samples")
+    p = add("verify", cmd_verify, ("--seed", "--tol", "--out"),
+            "batch theorem verification over Haar samples")
     p.add_argument("--trials", type=int, required=True, help="number of Haar samples")
     p.add_argument("--routes", default="closed,geometric",
                    help="comma-separated: closed (d only), geometric (D_min from "
                         "the input's spectrum and its local invariants against d), "
                         "numeric (product search on the input)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("random", parents=[common],
-                       help="emit Haar matrices or Weyl triples")
+    p = add("random", cmd_random, ("--seed", "--out"), "emit Haar matrices or Weyl triples")
     p.add_argument("--count", type=int, default=1, help="number of samples")
     p.add_argument("--weyl", action="store_true", help="emit interaction triples")
-    p.set_defaults(func=cmd_random)
     return parser
 
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .canonical import _as_triple, canonical_unitary, mirror_negative_alpha_z
 from .entanglement import CapacityReport, capacities_closed_form, is_perfect_entangler
-from .linalg import eig_unitary
-
-GAP_BOUNDARY_TOL = 1e-12
+from .linalg import ANGLE_TOL, eig_unitary
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def hull_min_distance(phases) -> float:
     closing the largest gap, at distance -cos(gap/2).
     """
     _, _, gaps, k = _largest_gap(phases)
-    if gaps[k] <= np.pi + GAP_BOUNDARY_TOL:
+    if gaps[k] <= np.pi + ANGLE_TOL:
         return 0.0
     return float(-np.cos(gaps[k] / 2))
 
@@ -75,13 +73,13 @@ def hull_optimal_weights(phases):
     """A probability vector over the given phases attaining the hull minimum.
 
     Returns ``(weights, d_min)`` with |sum_j w_j exp(i theta_j)| = d_min.
-    Within ``GAP_BOUNDARY_TOL`` of a largest gap of pi the chord midpoint is
+    Within ``ANGLE_TOL`` of a largest gap of pi the chord midpoint is
     used, which lies that close to the origin.
     """
     order, wrapped, gaps, k = _largest_gap(phases)
     d_min = hull_min_distance(phases)
     weights = np.zeros(order.size)
-    if gaps[k] >= np.pi - GAP_BOUNDARY_TOL:
+    if gaps[k] >= np.pi - ANGLE_TOL:
         # Midpoint of the chord closing the largest gap (for a single
         # repeated point both ends are the same point).
         weights[order[k]] += 0.5

@@ -12,15 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Tolerance policy.  Inputs from outside are gated once on entry; the
+# algorithms then run without intermediate checks, and every factorisation
+# (eig_unitary, cartan_decompose) is judged once, by reconstructing its input
+# from its output.  A failed output gate raises DecompositionError.
+#   UNITARITY_TOL          input gate: max |U^dag U - I| of a matrix.
+#   STATE_NORM_TOL         input gate: | |psi| - 1 | of a state.
+#   COMMUTING_OFFDIAG_TOL  acceptance test inside simultaneous_diagonalize:
+#                          largest off-diagonal entry of the orthogonal
+#                          combination in an accepted eigh basis.
+#   RECONSTRUCTION_TOL     output gate: max entry of the reconstruction error.
+#   ANGLE_TOL              boundary tolerance in radians: the faces of the
+#                          Weyl region and a hull gap of exactly pi.
 UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
-# eig_unitary: largest | |lambda| - 1 | of an eigenvalue, and largest
-# reconstruction error of the decomposition.
-EIGENVALUE_MODULUS_TOL = 1e-10
-EIG_RESIDUAL_TOL = 1e-9
-# simultaneous_diagonalize: largest off-diagonal entry, absolute, of the
-# orthogonal combination in an accepted basis.
 COMMUTING_OFFDIAG_TOL = 1e-13
+RECONSTRUCTION_TOL = 1e-9
+ANGLE_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,6 +45,10 @@ class DimensionMismatchError(ValueError):
 
 class NotUnitaryError(ValueError):
     """A matrix failed the unitarity check."""
+
+
+class DecompositionError(RuntimeError):
+    """A factorisation failed its reconstruction gate."""
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -59,14 +71,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return unitarity_defect(u) <= tol
-
-
-def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     """Validate and return a unitary matrix of dimension 2 or 4."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -76,12 +81,12 @@ def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("matrix contains non-finite entries")
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise NotUnitaryError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
     return u
 
 
-def check_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
+def check_state(psi: np.ndarray) -> np.ndarray:
     """Validate and return a normalized pure state of dimension 2 or 4."""
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.shape[0] not in (2, 4):
@@ -89,7 +94,7 @@ def check_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
     if not np.all(np.isfinite(psi)):
         raise ValueError("state contains non-finite amplitudes")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1):.3e}")
     return psi
 
@@ -142,8 +147,8 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     ``COMMUTING_OFFDIAG_TOL`` (absolute; the inputs have norm about 1).  A
     generic combination separates every joint eigenpair however close the
     spectra of h1 and h2 are on their own.  Otherwise the next pair (a, b) is tried; when none is
-    accepted the last basis is returned for the caller's own checks to
-    judge.  For real symmetric inputs the returned eigenvector matrix is
+    accepted the last basis is returned for the caller's reconstruction gate
+    to judge.  For real symmetric inputs the returned eigenvector matrix is
     real orthogonal.
     """
     for a, b in _COMBINATIONS:
@@ -154,29 +159,27 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     return p
 
 
-def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> SpectralDecomposition:
+def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
 
     Works through the commuting Hermitian pair (U + U^dag)/2 and
     (U - U^dag)/2i and their common eigenbasis, which stays well conditioned
     for the degenerate and nearly degenerate spectra of canonical two-qubit
-    operators.
+    operators.  Raises ``DecompositionError`` when the result does not
+    reconstruct ``u`` to ``RECONSTRUCTION_TOL``.
     """
-    u = check_unitary(u, tol=tol)
+    u = check_unitary(u)
     h1 = (u + dagger(u)) / 2
     h2 = (u - dagger(u)) / 2j
     vecs = simultaneous_diagonalize(h1, h2)
     eigvals = np.einsum("ij,ik,kj->j", vecs.conj(), u, vecs)
-    moduli = np.abs(eigvals)
-    if np.max(np.abs(moduli - 1.0)) > EIGENVALUE_MODULUS_TOL:
-        raise NotUnitaryError("eigendecomposition failed to converge to unit-modulus eigenvalues")
     phases = wrap_angle(np.angle(eigvals))
     order = np.argsort(phases, kind="stable")
     decomp = SpectralDecomposition(phases=phases[order], vectors=vecs[:, order])
     residual = np.max(np.abs(decomp.reconstruct() - u))
-    if residual > EIG_RESIDUAL_TOL:
-        raise NotUnitaryError(
-            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.0e}")
+    if not residual <= RECONSTRUCTION_TOL:
+        raise DecompositionError(
+            f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
     return decomp
 
 

@@ -182,9 +182,11 @@ def _tangent(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # Each sphere-ascent iteration tries the steps t 2^k, k = -4..4, at once; when
-# none of them ascends, the next ladder is centred a factor 2 below its lowest.
+# none of them ascends, the next ladder is centred on t 2^-9, so that its
+# highest rung lies a factor 2 below the lowest rejected one and no rejected
+# step is tried again.
 _LADDER = 2.0 ** np.arange(-4, 5)
-_FALLBACK = _LADDER[0] / 2
+_FALLBACK = _LADDER[0] ** 2 / 2
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     t 2^k, k = -4..4, in one call, and takes the rung of largest gain among
     those that strictly increase the value and gain at least half the
     predicted ascent 2t Re(g^dag d).  The next ladder is centred on the
-    accepted rung; when no rung passes, the centre drops below the lowest
+    accepted rung; when no rung passes, it lies wholly below the lowest
     rung.  Steps are lengths t|d| on the sphere, not multiples of the
     gradient: the first centre t = 1/|d| is a tangent step of length one,
     so the ladder does not depend on the scale of f.  A column stops once

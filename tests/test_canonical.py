@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from gatecap.canonical import (
+    _kron_factor,
     canonical_unitary,
     cartan_decompose,
     eigenphase_vector,
     eigenphases,
     in_weyl_region,
-    kron_factor,
     mirror_negative_alpha_z,
 )
 from gatecap.distinguishability import d_min_geometric
@@ -223,7 +223,7 @@ def test_kron_factor_round_trip():
     for _ in range(20):
         a = haar_random_unitary(2, rng)
         b = haar_random_unitary(2, rng)
-        g, fa, fb = kron_factor(kron(a, b))
+        g, fa, fb = _kron_factor(kron(a, b))
         assert np.max(np.abs(g * kron(fa, fb) - kron(a, b))) <= 1e-10
 
 

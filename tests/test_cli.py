@@ -135,6 +135,40 @@ def test_analyze_non_unitary(write_matrix, capsys):
     assert "not-unitary" in capsys.readouterr().err
 
 
+def test_wrong_basis_fails_the_reconstruction_gate(write_matrix, monkeypatch, capsys):
+    # A wrong orthogonal basis from simultaneous_diagonalize, at the name
+    # each module binds, is caught by the factorisation's one output gate.
+    rng = np.random.default_rng(3)
+    wrong, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    u = haar_random_unitary(4, rng)
+    for module in (gatecap.linalg, gatecap.canonical):
+        monkeypatch.setattr(module, "simultaneous_diagonalize", lambda h1, h2: wrong)
+    with pytest.raises(gatecap.DecompositionError, match="residual"):
+        cartan_decompose(u)
+    with pytest.raises(gatecap.DecompositionError, match="residual"):
+        eig_unitary(u)
+    assert main(["analyze", write_matrix(u)]) == 4
+    assert "decomposition-failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "m.json", "--tol", "1"],
+    ["decompose", "m.json", "--tol", "1"],
+    ["decompose", "m.json", "--seed", "1"],
+    ["capacities", "--d", "0,0,0", "--tol", "1"],
+    ["random", "--tol", "1"],
+    ["random", "--json"],
+    ["random", "--degrees"],
+    ["verify", "--trials", "1", "--json"],
+    ["verify", "--trials", "1", "--degrees"],
+])
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_decompose_local_invariance(write_matrix, capsys):
     rng = np.random.default_rng(7)
     d = [np.pi / 8, np.pi / 16, 0]

@@ -1,8 +1,11 @@
 """Tests for the dense linear-algebra core."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import gatecap
 from gatecap.linalg import (
     DimensionMismatchError,
     NotUnitaryError,
@@ -12,7 +15,6 @@ from gatecap.linalg import (
     check_unitary,
     eig_unitary,
     haar_random_unitary,
-    is_unitary,
     kron,
     random_product_state,
     random_pure_state,
@@ -123,5 +125,15 @@ def test_check_unitary_rejects_bad_dimension():
         check_unitary(np.eye(3, dtype=complex))
 
 
-def test_is_unitary_on_non_square():
-    assert not is_unitary(np.ones((2, 3)))
+def test_check_unitary_rejects_non_square():
+    with pytest.raises(DimensionMismatchError):
+        check_unitary(np.ones((2, 3)))
+
+
+def test_no_tolerance_parameters():
+    # Tolerances are the constants of linalg's policy, not per-call knobs.
+    for name in gatecap.__all__:
+        obj = getattr(gatecap, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            params = inspect.signature(obj).parameters
+            assert not {"tol", "atol"} & set(params), name
