@@ -29,9 +29,10 @@ class SearchConfig:
     best pool points (for the probe search, seeded random probes) are
     refined, all together.  ``refine_iterations`` caps the steps of each
     sphere ascent and the product search's alternating sweeps.
-    ``tolerance`` squared is the tangent step length (for small steps, the
-    angle moved) below which a sphere ascent stops a start, and the gain
-    below which the sweeps stop.
+    ``tolerance`` is the gain per sweep below which the product search's
+    alternating sweeps stop; ``tolerance`` squared is the tangent step
+    length (for small steps, the angle moved) below which a sphere ascent
+    stops a start.
     ``seed`` seeds the random pool and probes.  The three counts must be
     positive integers, the seed an integer and the tolerance positive and
     finite; anything else raises ValueError.
@@ -88,8 +89,32 @@ def _takagi_top(m: np.ndarray):
 
 
 def _contract(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The symmetric 2x2 matrices sum_ik x_i x_k g[i, :, k, :] for stacked qubits x."""
-    return np.einsum("...i,...k,ijkl->...jl", x, x, g)
+    """The symmetric 2x2 matrices sum_ik x_i x_k g[i, :, k, :] for stacked qubits x.
+
+    One matmul: the outer products x_i x_k, flattened over (i, k), times g
+    with rows (i, k) and columns (j, l).
+    """
+    stack = x.shape[:-1]
+    outer = (x[..., :, None] * x[..., None, :]).reshape(*stack, 4)
+    return (outer @ g.transpose(0, 2, 1, 3).reshape(4, 4)).reshape(*stack, 2, 2)
+
+
+def _sigma_max(m: np.ndarray) -> np.ndarray:
+    """Largest singular values of stacked 2x2 matrices, in closed form.
+
+    With F = |m|_F^2 = s1^2 + s2^2 and |det m| = s1 s2, (s1 +- s2)^2 is
+    F +- 2|det m|.  Taking the difference as written loses half the digits
+    when s1 = s2, so w m, with w^2 the phase of conj(det m), is used instead:
+    then det(w m) = |det m|, and F +- 2|det m| is the sum of squares
+    |w m00 +- conj(w m11)|^2 + |w m01 -+ conj(w m10)|^2.
+    """
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    modulus = np.abs(det)
+    w = np.sqrt(np.divide(det.conj(), modulus, out=np.ones_like(det), where=modulus > 0))
+    a, d = w * m[..., 0, 0], (w * m[..., 1, 1]).conj()
+    b, c = w * m[..., 0, 1], (w * m[..., 1, 0]).conj()
+    return (np.sqrt(np.abs(a + d) ** 2 + np.abs(b - c) ** 2)
+            + np.sqrt(np.abs(a - d) ** 2 + np.abs(b + c) ** 2)) / 2
 
 
 def _product_objective(g: np.ndarray, g_swapped: np.ndarray):
@@ -116,13 +141,26 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     sigma_max(M(a)), reached at its top Autonne-Takagi vector.  The search
     scores a ``coarse_grid_per_angle`` squared (theta, phi) grid over a,
     runs alternating a/b Takagi ascent from the best ``restarts`` grid
-    points together for at most ``refine_iterations`` sweeps, polishes the
-    best a by sphere ascent on sigma_max(M(a))^2, and returns a (x) b.  Each
-    evaluation is one 2x2 singular value decomposition.
+    points together until no start gains more than ``tolerance`` in a sweep
+    (at most ``refine_iterations`` sweeps), polishes the best a by sphere
+    ascent on sigma_max(M(a))^2, and returns a (x) b.  Each evaluation is one
+    2x2 singular value.
+
+    The last search is memoised, keyed by the matrix's entries and the
+    config: asked again for the same gate, as the gain search does right
+    after, it returns the same result, ``evaluations`` included, without
+    searching.  Its ``argmax_state`` is therefore read-only.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_product expects a 4x4 unitary")
+    return _product_search(u.tobytes(), cfg)
+
+
+@functools.lru_cache(maxsize=1)
+def _product_search(entries: bytes, cfg: SearchConfig) -> SearchResult:
+    """The search of ``max_concurrence_product`` on a checked 4x4 unitary's C-order bytes."""
+    u = np.frombuffer(entries, dtype=complex).reshape(4, 4)
     g = (u.T @ SIGMA_YY @ u).reshape(2, 2, 2, 2)
     g_swapped = g.transpose(1, 0, 3, 2)  # the same form with the qubits' roles exchanged
 
@@ -131,16 +169,18 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     n = cfg.coarse_grid_per_angle
     t, p = np.meshgrid(np.linspace(0, np.pi, n), np.linspace(0, 2 * np.pi, n), indexing="ij")
     a = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=-1).reshape(-1, 2)
-    values = np.linalg.svd(_contract(g, a), compute_uv=False)[:, 0]
+    values = _sigma_max(_contract(g, a))
     evaluations = values.size
 
     order = np.argsort(values)[::-1][:cfg.restarts]
     a, values = a[order], values[order]
+    # The polish below climbs to a tangent step of tolerance squared, so the
+    # sweeps only need to bring the best start near the top.
     for _ in range(cfg.refine_iterations):
         b, _ = _takagi_top(_contract(g, a))
         a, improved = _takagi_top(_contract(g_swapped, b))
         evaluations += 2 * a.shape[0]
-        converged = np.max(improved - values) <= cfg.tolerance ** 2
+        converged = np.max(improved - values) <= cfg.tolerance
         values = improved
         if converged:
             break
@@ -149,6 +189,7 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     a = polish.states[:, 0]
     b, _ = _takagi_top(_contract(g, a))
     state = np.kron(a, b)
+    state.flags.writeable = False
     return SearchResult(value=min(float(_concurrence(u @ state)), 1.0), argmax_state=state,
                         evaluations=evaluations + polish.nfev)
 
@@ -306,8 +347,9 @@ def _max_pure_input_gain(u: np.ndarray, power: int, cfg: SearchConfig, seeds=())
     """
     pool = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
     values = _concurrence(u @ pool) ** power - _concurrence(pool) ** power
-    order = np.argsort(values)[::-1][:max(cfg.restarts - len(seeds), 1)]
-    starts = np.column_stack([*seeds, pool[:, order]])
+    count = min(max(cfg.restarts - len(seeds), 1), values.size)
+    best = np.argpartition(values, -count)[-count:]
+    starts = np.column_stack([*seeds, pool[:, best[np.argsort(values[best])[::-1]]]])
     refined = minimize(_gain_objective(u, power), starts, cfg)
     return refined.states[:, np.argmax(refined.values)], pool.shape[1] + refined.nfev
 
@@ -322,7 +364,11 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     ``c_max_prod``.)  The maximum sits on the kink C(psi) = 0, which the
     ascent alone approaches poorly, so the product search's maximizer is
     refined alongside the best random inputs.  The value is recomputed from
-    the returned state.
+    the returned state.  That product search comes from the one-entry memo
+    of ``max_concurrence_product``, so right after a product search on the
+    same gate and config it costs nothing; ``evaluations`` counts it either
+    way.  The memo's read-only state only seeds the ascent: the state
+    returned here is a fresh array.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):

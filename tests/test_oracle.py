@@ -8,7 +8,7 @@ import pytest
 from gatecap.canonical import canonical_unitary, cartan_decompose, in_weyl_region
 from gatecap.distinguishability import d_min_canonical
 from gatecap.entanglement import capacities_closed_form, concurrence, concurrence_conjugate_form
-from gatecap.linalg import SIGMA_YY, haar_random_unitary, kron
+from gatecap.linalg import SIGMA_YY, NotUnitaryError, haar_random_unitary, kron
 import gatecap.oracle as oracle
 from gatecap.oracle import (
     SearchConfig,
@@ -109,11 +109,18 @@ def test_every_search_refines_through_minimize(monkeypatch):
     u = haar_random_unitary(4, np.random.default_rng(406))
     for search, refinements in ((max_concurrence_product, 1), (max_concurrence_unrestricted, 1),
                                 (max_delta_concurrence, 2), (min_probe_overlap, 1)):
+        oracle._product_search.cache_clear()  # every search cold
         calls.clear()
         result = search(u, FAST)
         assert len(calls) == refinements, search.__name__
         assert sum(c.nfev for c in calls) <= result.evaluations
         assert all(c.fun == -np.max(c.values) for c in calls)
+    # Right after a product search on the same gate, the gain search takes
+    # the product search from the memo and refines once.
+    max_concurrence_product(u, FAST)
+    calls.clear()
+    max_delta_concurrence(u, FAST)
+    assert len(calls) == 1
 
 
 def test_ascend_zero_gradient_column_is_unchanged():
@@ -156,6 +163,75 @@ def test_seeded_pool_is_drawn_once_and_read_only():
     assert np.array_equal(pool, _random_states(13824, np.random.default_rng(0)))
     with pytest.raises(ValueError):
         pool[0, 0] = 0
+
+
+def test_product_memo_hit_equals_a_cold_search():
+    u = haar_random_unitary(4, np.random.default_rng(410))
+    oracle._product_search.cache_clear()
+    cold = max_concurrence_product(u, FAST)
+    for again in (u, np.asfortranarray(u)):
+        hit = max_concurrence_product(again, FAST)
+        assert hit is cold
+    assert oracle._product_search.cache_info().hits == 2
+    oracle._product_search.cache_clear()
+    fresh = max_concurrence_product(u, FAST)
+    assert fresh is not cold
+    assert fresh.value == cold.value and fresh.evaluations == cold.evaluations
+    assert fresh.argmax_state.tobytes() == cold.argmax_state.tobytes()
+    with pytest.raises(ValueError):
+        cold.argmax_state[0] = 0
+
+
+def test_product_memo_keys_on_matrix_and_config():
+    rng = np.random.default_rng(411)
+    u, v = haar_random_unitary(4, rng), haar_random_unitary(4, rng)
+    oracle._product_search.cache_clear()
+    first = max_concurrence_product(u, FAST)
+    other_cfg = SearchConfig(coarse_grid_per_angle=10, restarts=8, seed=1)
+    assert max_concurrence_product(u, other_cfg) is not first
+    assert max_concurrence_product(u, FAST) is not first
+    other_gate = max_concurrence_product(v, FAST)
+    caps = capacities_closed_form(cartan_decompose(v).d)
+    assert abs(other_gate.value - caps.c_max_prod) <= 1e-9
+    assert oracle._product_search.cache_info().hits == 0
+
+
+def test_product_memo_still_checks_every_input():
+    u = haar_random_unitary(4, np.random.default_rng(412))
+    max_concurrence_product(u, FAST)
+    for _ in range(2):
+        with pytest.raises(NotUnitaryError):
+            max_concurrence_product(2 * u, FAST)
+
+
+def test_sigma_max_matches_svd():
+    rng = np.random.default_rng(413)
+    random = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+    # sigma_1 = sigma_2, so F - 2|det| is zero: the Takagi test's degenerate
+    # set, and r R D R^T for real rotations R and diagonal unitaries D, where
+    # it rounds to +-1e-15 and its square root would be off by 4e-8.
+    degenerate = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]],
+                           [[-1, 0], [0, -1]], [[-1, 0], [0, 1]], [[1j, 0], [0, 1j]],
+                           [[0, 0], [0, 0]]], dtype=complex)
+    r, t, a, b = rng.uniform(0.1, 3, 200), *rng.uniform(0, 2 * np.pi, (3, 200))
+    rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]).transpose(2, 0, 1)
+    phases = np.exp(1j * np.stack([a, b], axis=-1))
+    scaled = r[:, None, None] * (rot * phases[:, None, :]) @ rot.transpose(0, 2, 1)
+    m = np.concatenate([random + random.transpose(0, 2, 1), degenerate, scaled])
+    expected = np.linalg.svd(m, compute_uv=False)[:, 0]
+    assert np.max(np.abs(oracle._sigma_max(m) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [9, 32, 576])
+def test_contract_matches_its_definition(count):
+    rng = np.random.default_rng(414)
+    u = haar_random_unitary(4, rng)
+    g = (u.T @ SIGMA_YY @ u).reshape(2, 2, 2, 2)
+    x = _random_states(count, rng)[:2].T
+    explicit = sum(x[:, i, None, None] * x[:, k, None, None] * g[i, :, k, :]
+                   for i in range(2) for k in range(2))
+    assert np.max(np.abs(oracle._contract(g, x) - explicit)) <= 1e-14
+    assert np.max(np.abs(oracle._contract(g, x[0]) - explicit[0])) <= 1e-14
 
 
 def test_unrestricted_search_independent_of_earlier_searches():
@@ -297,6 +373,16 @@ def test_unrestricted_determinism():
     b = max_concurrence_unrestricted(u, FAST)
     assert a.value == b.value
     assert np.array_equal(a.argmax_state, b.argmax_state)
+
+
+def test_pure_input_searches_take_a_pool_smaller_than_restarts():
+    # A 2-point grid draws 8 pool inputs for 32 restarts; all 8 are refined.
+    u = haar_random_unitary(4, np.random.default_rng(415))
+    small = SearchConfig(coarse_grid_per_angle=2)
+    for search in (max_concurrence_unrestricted, max_delta_concurrence):
+        result = search(u, small)
+        assert 0 <= result.value <= 1
+        assert result.evaluations > 8
 
 
 def test_probe_overlap_identity():
