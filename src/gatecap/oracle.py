@@ -212,22 +212,13 @@ def _seeded_pool(count: int, seed: int) -> np.ndarray:
     return pool
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products a_k^dag b_k of matching columns."""
-    return (a.conj() * b).sum(axis=0)
-
-
-def _tangent(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project each column of v onto the tangent space of the unit sphere at that of psi."""
-    return v - psi * _inner(psi, v)
-
-
 # Each sphere-ascent iteration tries the steps t 2^k, k = -4..4, at once; when
 # none of them ascends, the next ladder is centred on t 2^-9, so that its
 # highest rung lies a factor 2 below the lowest rejected one and no rejected
 # step is tried again.
 _LADDER = 2.0 ** np.arange(-4, 5)
 _FALLBACK = _LADDER[0] ** 2 / 2
+_TINY = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -244,10 +235,11 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     """Riemannian conjugate-gradient ascent from every column of ``psi`` at once.
 
     ``value_and_gradient`` maps unit vectors, the columns of an (n, m) array,
-    to their m real values f and the Wirtinger gradients g = df/d(conj psi),
-    so that f changes by 2 Re(g^dag dpsi).  Directions are Polak-Ribiere+
-    combinations of tangent-projected gradients, restarted whenever one is
-    not an ascent direction; a step psi + t d is retracted by normalising.
+    to their m real values f and the complex Wirtinger gradients
+    g = df/d(conj psi), so that f changes by 2 Re(g^dag dpsi).  Directions
+    are Polak-Ribiere+ combinations of tangent-projected gradients,
+    restarted whenever one is not an ascent direction; a step psi + t d is
+    retracted by normalising.
 
     Each iteration evaluates every live column at the ladder of steps
     t 2^k, k = -4..4, in one call, and takes the rung of largest gain among
@@ -261,52 +253,84 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     steps, so a column of zero gradient comes back unchanged.  The values
     returned are those of one call on the returned states.
 
+    The live columns' states, gradients and directions are the three rows
+    of one (3, n, m) array, and each column carries |g|^2, the slope
+    Re(g^dag d) and |d|^2, so the stop test, the ascent test and the
+    Polak-Ribiere+ ratio reuse them.  At the accepted state x the new
+    gradient and the old direction d are projected onto the tangent space
+    together (vector transport by projection).  The old gradient g needs no
+    projection T(x, g): the new tangent gradient h is orthogonal to x, so
+    Re(h^dag T(x, g)) = Re(h^dag g), the ratio's numerator is
+    |h|^2 - Re(h^dag g), and the new slope is |h|^2 + beta Re(h^dag T(x, d)).
+    When every live column accepts a rung, the new rows replace the old
+    ones without a per-column merge.
+
     Every search refines through this one module global, which
     perfbench/tracing.py wraps to count refinements by ``nfev`` and ``fun``.
     """
     states = np.array(psi, dtype=complex)
     values, grad = value_and_gradient(states)
+    grad = grad - states * np.vecdot(states, grad, axis=0)
     # The working arrays hold the live columns only; cols maps them back.
-    psi, value, cols = states, values, np.arange(states.shape[1])
-    grad = _tangent(psi, grad)
-    direction = grad
-    norm = np.linalg.norm(direction, axis=0)
-    step = np.divide(1, norm, out=np.ones_like(norm), where=norm > 0)
+    work = np.stack([states, grad, grad])
+    value, cols = values, np.arange(states.shape[1])
+    at = cols  # 0..m-1 over the live columns
+    grad_sq = slope = dir_sq = np.vecdot(grad, grad, axis=0).real
+    step = np.divide(1, np.sqrt(dir_sq), out=np.ones_like(dir_sq), where=dir_sq > 0)
     evaluations = cols.size
     for _ in range(cfg.refine_iterations):
-        live = step * np.linalg.norm(direction, axis=0) >= cfg.tolerance ** 2
+        live = step * np.sqrt(dir_sq) >= cfg.tolerance ** 2
         if not live.all():
-            states[:, cols] = psi
-            psi, value, grad, direction = psi[:, live], value[live], grad[:, live], direction[:, live]
-            step, cols = step[live], cols[live]
+            states[:, cols] = work[0]
+            work, value, cols = work[:, :, live], value[live], cols[live]
+            grad_sq, slope, dir_sq, step = grad_sq[live], slope[live], dir_sq[live], step[live]
             if not cols.size:
                 break
+            at = np.arange(cols.size)
         steps = step * _LADDER[:, None]
-        trial = psi[:, None, :] + steps * direction[:, None, :]
-        trial /= np.linalg.norm(trial, axis=0)
-        trial_value, trial_grad = value_and_gradient(trial.reshape(len(psi), -1))
+        trial = work[0, :, None] + steps * work[2, :, None]
+        trial /= np.sqrt((trial * trial.conj()).real.sum(axis=0))  # np.linalg.norm, unchecked
+        trial = trial.reshape(len(trial), -1)
+        trial_value, trial_grad = value_and_gradient(trial)
         evaluations += trial_value.size
-        trial_value, trial_grad = trial_value.reshape(steps.shape), trial_grad.reshape(trial.shape)
-        gain = trial_value - value
-        passing = (gain > 0) & (gain >= steps * np.real(_inner(grad, direction)))
+        gain = trial_value.reshape(steps.shape) - value
+        # A gain of at least the smallest positive double is a strict increase.
+        passing = gain >= np.maximum(steps * slope, _TINY)
         rung = np.where(passing, gain, -np.inf).argmax(axis=0)
-        ok = passing.any(axis=0)
-        step = np.where(ok, step * _LADDER[rung], step * _FALLBACK)
+        ok = passing[rung, at]
 
-        at = np.arange(cols.size)
-        trial, trial_value = trial[:, rung, at], trial_value[rung, at]
-        new_grad = _tangent(trial, trial_grad[:, rung, at])
-        old = np.real(_inner(grad, grad))
-        beta = np.real(_inner(new_grad, new_grad - _tangent(trial, grad)))
-        beta = np.maximum(np.divide(beta, old, out=np.zeros_like(beta), where=old > 0), 0)
-        new_direction = new_grad + beta * _tangent(trial, direction)
-        new_direction = np.where(np.real(_inner(new_grad, new_direction)) > 0,
-                                 new_direction, new_grad)
-        psi = np.where(ok, trial, psi)
-        value = np.where(ok, trial_value, value)
-        grad = np.where(ok, new_grad, grad)
-        direction = np.where(ok, new_direction, direction)
-    states[:, cols] = psi
+        # new = [x, h, T(x, d), g]: the accepted states, their tangent
+        # gradients, the transported directions, and the old gradients.
+        taken = rung * cols.size + at
+        new = np.empty((4, *work.shape[1:]), dtype=complex)
+        # The indices are in range; mode "clip" writes to out without a buffer.
+        trial.take(taken, axis=1, out=new[0], mode="clip")
+        trial_grad.take(taken, axis=1, out=new[1], mode="clip")
+        new[2:] = work[:0:-1]
+        new[1:3] -= new[0] * np.vecdot(new[0], new[1:3], axis=-2)[:, None]
+        # |h|^2, Re(h^dag T(x, d)) and Re(h^dag g), h the new tangent gradient.
+        new_grad_sq, h_dot_td, h_dot_g = np.vecdot(new[1], new[1:], axis=-2).real
+        beta = np.maximum(np.divide(new_grad_sq - h_dot_g, grad_sq,
+                                    out=np.zeros_like(grad_sq), where=grad_sq > 0), 0)
+        new_slope = new_grad_sq + beta * h_dot_td
+        ascent = new_slope > 0
+        beta = np.where(ascent, beta, 0)
+        new_slope = np.where(ascent, new_slope, new_grad_sq)
+        new[2] *= beta
+        new[2] += new[1]
+        new_value = trial_value[taken]
+        new_dir_sq = np.vecdot(new[2], new[2], axis=0).real
+        if ok.all():
+            work, value, step = new[:3], new_value, steps[rung, at]
+            grad_sq, slope, dir_sq = new_grad_sq, new_slope, new_dir_sq
+        else:
+            step = np.where(ok, steps[rung, at], step * _FALLBACK)
+            work = np.where(ok, new[:3], work)
+            value = np.where(ok, new_value, value)
+            grad_sq = np.where(ok, new_grad_sq, grad_sq)
+            slope = np.where(ok, new_slope, slope)
+            dir_sq = np.where(ok, new_dir_sq, dir_sq)
+    states[:, cols] = work[0]
     if evaluations > states.shape[1]:
         # A value found within a ladder can differ in its last bit from the
         # same column's value in a narrower call (BLAS blocks the columns by
@@ -320,19 +344,21 @@ def _gain_objective(u: np.ndarray, power: int):
     """Values C(U psi)^power - C(psi)^power of unit inputs, with their gradients.
 
     C(U psi) = |psi^T G psi| with G = U^T (sy (x) sy) U, and C(psi) the same
-    with G = sy (x) sy; the Wirtinger gradient of |z|^power, z = psi^T G psi,
-    is power |z|^(power - 1) (z / |z|) conj(G psi), taking z / |z| as 0 at
-    z = 0.
+    with G = sy (x) sy.  For z = psi^T G psi the Wirtinger gradient of |z|^2
+    is 2 z conj(G psi), and that of |z| (power 1) is (z / |z|) conj(G psi),
+    taking z / |z| as 0 at z = 0.
     """
     forms = np.stack([u.T @ SIGMA_YY @ u, SIGMA_YY])
 
     def value_and_gradient(psi):
         forms_psi = forms @ psi
         z = np.sum(psi * forms_psi, axis=1)
-        modulus = np.abs(z)
-        phase = np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0)
-        terms = modulus ** power
-        gradients = power * (modulus ** (power - 1) * phase)[:, None] * forms_psi.conj()
+        if power == 2:
+            terms, weights = z.real ** 2 + z.imag ** 2, 2 * z
+        else:
+            terms = np.abs(z)
+            weights = np.divide(z, terms, out=np.zeros_like(z), where=terms > 0)
+        gradients = weights[:, None] * forms_psi.conj()
         return terms[0] - terms[1], gradients[0] - gradients[1]
 
     return value_and_gradient
@@ -405,7 +431,7 @@ def _probe_objective(v: np.ndarray):
 
     def value_and_gradient(phi):
         v_phi = v @ phi
-        w = _inner(phi, v_phi)
+        w = np.vecdot(phi, v_phi, axis=0)
         return -np.abs(w) ** 2, -(w.conj() * v_phi + w * (v_dag @ phi))
 
     return value_and_gradient
