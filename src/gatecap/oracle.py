@@ -212,13 +212,17 @@ def _seeded_pool(count: int, seed: int) -> np.ndarray:
     return pool
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products a_k^dag b_k of matching columns (summed over axis -2)."""
+    return (a.conj() * b).sum(axis=-2)
+
+
 # Each sphere-ascent iteration tries the steps t 2^k, k = -4..4, at once; when
 # none of them ascends, the next ladder is centred on t 2^-9, so that its
 # highest rung lies a factor 2 below the lowest rejected one and no rejected
 # step is tried again.
 _LADDER = 2.0 ** np.arange(-4, 5)
 _FALLBACK = _LADDER[0] ** 2 / 2
-_TINY = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -235,11 +239,10 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     """Riemannian conjugate-gradient ascent from every column of ``psi`` at once.
 
     ``value_and_gradient`` maps unit vectors, the columns of an (n, m) array,
-    to their m real values f and the complex Wirtinger gradients
-    g = df/d(conj psi), so that f changes by 2 Re(g^dag dpsi).  Directions
-    are Polak-Ribiere+ combinations of tangent-projected gradients,
-    restarted whenever one is not an ascent direction; a step psi + t d is
-    retracted by normalising.
+    to their m real values f and the Wirtinger gradients g = df/d(conj psi),
+    so that f changes by 2 Re(g^dag dpsi).  Directions are Polak-Ribiere+
+    combinations of tangent-projected gradients, restarted whenever one is
+    not an ascent direction; a step psi + t d is retracted by normalising.
 
     Each iteration evaluates every live column at the ladder of steps
     t 2^k, k = -4..4, in one call, and takes the rung of largest gain among
@@ -262,20 +265,17 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     projection T(x, g): the new tangent gradient h is orthogonal to x, so
     Re(h^dag T(x, g)) = Re(h^dag g), the ratio's numerator is
     |h|^2 - Re(h^dag g), and the new slope is |h|^2 + beta Re(h^dag T(x, d)).
-    When every live column accepts a rung, the new rows replace the old
-    ones without a per-column merge.
 
     Every search refines through this one module global, which
     perfbench/tracing.py wraps to count refinements by ``nfev`` and ``fun``.
     """
     states = np.array(psi, dtype=complex)
     values, grad = value_and_gradient(states)
-    grad = grad - states * np.vecdot(states, grad, axis=0)
+    grad = grad - states * _inner(states, grad)
     # The working arrays hold the live columns only; cols maps them back.
     work = np.stack([states, grad, grad])
     value, cols = values, np.arange(states.shape[1])
-    at = cols  # 0..m-1 over the live columns
-    grad_sq = slope = dir_sq = np.vecdot(grad, grad, axis=0).real
+    grad_sq = slope = dir_sq = _inner(grad, grad).real
     step = np.divide(1, np.sqrt(dir_sq), out=np.ones_like(dir_sq), where=dir_sq > 0)
     evaluations = cols.size
     for _ in range(cfg.refine_iterations):
@@ -286,30 +286,28 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
             grad_sq, slope, dir_sq, step = grad_sq[live], slope[live], dir_sq[live], step[live]
             if not cols.size:
                 break
-            at = np.arange(cols.size)
         steps = step * _LADDER[:, None]
         trial = work[0, :, None] + steps * work[2, :, None]
-        trial /= np.sqrt((trial * trial.conj()).real.sum(axis=0))  # np.linalg.norm, unchecked
+        # np.linalg.norm's own sum, without its argument handling.
+        trial /= np.sqrt((trial.conj() * trial).real.sum(axis=0))
         trial = trial.reshape(len(trial), -1)
         trial_value, trial_grad = value_and_gradient(trial)
         evaluations += trial_value.size
         gain = trial_value.reshape(steps.shape) - value
-        # A gain of at least the smallest positive double is a strict increase.
-        passing = gain >= np.maximum(steps * slope, _TINY)
+        passing = (gain > 0) & (gain >= steps * slope)
         rung = np.where(passing, gain, -np.inf).argmax(axis=0)
+        at = np.arange(cols.size)
         ok = passing[rung, at]
+        step = np.where(ok, steps[rung, at], step * _FALLBACK)
 
         # new = [x, h, T(x, d), g]: the accepted states, their tangent
         # gradients, the transported directions, and the old gradients.
         taken = rung * cols.size + at
-        new = np.empty((4, *work.shape[1:]), dtype=complex)
-        # The indices are in range; mode "clip" writes to out without a buffer.
-        trial.take(taken, axis=1, out=new[0], mode="clip")
-        trial_grad.take(taken, axis=1, out=new[1], mode="clip")
-        new[2:] = work[:0:-1]
-        new[1:3] -= new[0] * np.vecdot(new[0], new[1:3], axis=-2)[:, None]
+        new = np.concatenate([[trial.take(taken, axis=1), trial_grad.take(taken, axis=1)],
+                              work[:0:-1]])
+        new[1:3] -= new[0] * _inner(new[0], new[1:3])[:, None]
         # |h|^2, Re(h^dag T(x, d)) and Re(h^dag g), h the new tangent gradient.
-        new_grad_sq, h_dot_td, h_dot_g = np.vecdot(new[1], new[1:], axis=-2).real
+        new_grad_sq, h_dot_td, h_dot_g = _inner(new[1], new[1:]).real
         beta = np.maximum(np.divide(new_grad_sq - h_dot_g, grad_sq,
                                     out=np.zeros_like(grad_sq), where=grad_sq > 0), 0)
         new_slope = new_grad_sq + beta * h_dot_td
@@ -318,18 +316,11 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
         new_slope = np.where(ascent, new_slope, new_grad_sq)
         new[2] *= beta
         new[2] += new[1]
-        new_value = trial_value[taken]
-        new_dir_sq = np.vecdot(new[2], new[2], axis=0).real
-        if ok.all():
-            work, value, step = new[:3], new_value, steps[rung, at]
-            grad_sq, slope, dir_sq = new_grad_sq, new_slope, new_dir_sq
-        else:
-            step = np.where(ok, steps[rung, at], step * _FALLBACK)
-            work = np.where(ok, new[:3], work)
-            value = np.where(ok, new_value, value)
-            grad_sq = np.where(ok, new_grad_sq, grad_sq)
-            slope = np.where(ok, new_slope, slope)
-            dir_sq = np.where(ok, new_dir_sq, dir_sq)
+        work = np.where(ok, new[:3], work)
+        value = np.where(ok, trial_value[taken], value)
+        grad_sq = np.where(ok, new_grad_sq, grad_sq)
+        slope = np.where(ok, new_slope, slope)
+        dir_sq = np.where(ok, _inner(new[2], new[2]).real, dir_sq)
     states[:, cols] = work[0]
     if evaluations > states.shape[1]:
         # A value found within a ladder can differ in its last bit from the
@@ -431,7 +422,7 @@ def _probe_objective(v: np.ndarray):
 
     def value_and_gradient(phi):
         v_phi = v @ phi
-        w = np.vecdot(phi, v_phi, axis=0)
+        w = _inner(phi, v_phi)
         return -np.abs(w) ** 2, -(w.conj() * v_phi + w * (v_dag @ phi))
 
     return value_and_gradient
