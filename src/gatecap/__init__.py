@@ -70,8 +70,6 @@ from .serialization import (
     matrix_from_json,
     matrix_to_json,
     save_matrix,
-    state_from_json,
-    state_to_json,
 )
 
 __version__ = "0.1.0"
@@ -123,8 +121,6 @@ __all__ = [
     "random_pure_state",
     "relation1_signals",
     "save_matrix",
-    "state_from_json",
-    "state_to_json",
     "unitarity_defect",
     "verify_relation1",
     "verify_relation2",

@@ -32,7 +32,8 @@ class SearchConfig:
     ``tolerance`` is the gain per sweep below which the product search's
     alternating sweeps stop; ``tolerance`` squared is the tangent step
     length (for small steps, the angle moved) below which a sphere ascent
-    stops a start.
+    stops a start, and the ascent ends once no live start is above the best
+    stopped one.
     ``seed`` seeds the random pool and probes.  The three counts must be
     positive integers, the seed an integer and the tolerance positive and
     finite; anything else raises ValueError.
@@ -253,8 +254,11 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     gradient: the first centre t = 1/|d| is a tangent step of length one,
     so the ladder does not depend on the scale of f.  A column stops once
     t|d| is below ``tolerance`` squared, or after ``refine_iterations``
-    steps, so a column of zero gradient comes back unchanged.  The values
-    returned are those of one call on the returned states.
+    steps, so a column of zero gradient comes back unchanged.  The search
+    ends once the best value among the stopped columns is at least every
+    live column's value: callers keep only the best column, and the live
+    ones are left where they are.  The values returned are those of one call
+    on the returned states.
 
     The live columns' states, gradients and directions are the three rows
     of one (3, n, m) array, and each column carries |g|^2, the slope
@@ -278,9 +282,14 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     grad_sq = slope = dir_sq = _inner(grad, grad).real
     step = np.divide(1, np.sqrt(dir_sq), out=np.ones_like(dir_sq), where=dir_sq > 0)
     evaluations = cols.size
+    stopped_best = -np.inf
     for _ in range(cfg.refine_iterations):
         live = step * np.sqrt(dir_sq) >= cfg.tolerance ** 2
         if not live.all():
+            # Live values only rise, so the search can end only when a column stops.
+            stopped_best = max(stopped_best, value[~live].max())
+            if value[live].max(initial=-np.inf) <= stopped_best:
+                live[:] = False
             states[:, cols] = work[0]
             work, value, cols = work[:, :, live], value[live], cols[live]
             grad_sq, slope, dir_sq, step = grad_sq[live], slope[live], dir_sq[live], step[live]
@@ -380,8 +389,9 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     eigenvalues of U_d^2, and half the widest spectral chord is
     ``c_max_prod``.)  The maximum sits on the kink C(psi) = 0, which the
     ascent alone approaches poorly, so the product search's maximizer is
-    refined alongside the best random inputs.  The value is recomputed from
-    the returned state.  That product search comes from the one-entry memo
+    refined alongside the best random inputs; these climb until the best
+    start, usually that seed, stops.  The value is recomputed from the
+    returned state.  That product search comes from the one-entry memo
     of ``max_concurrence_product``, so right after a product search on the
     same gate and config it costs nothing; ``evaluations`` counts it either
     way.  The memo's read-only state only seeds the ascent: the state

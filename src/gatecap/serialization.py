@@ -1,8 +1,7 @@
-"""JSON encoding of matrices and state vectors.
+"""JSON encoding of matrices.
 
 Complex entries are stored as [re, im] pairs; matrices row-major as
-{"dim": n, "entries": [[[re, im], ...], ...]} and states as
-{"dim": n, "amplitudes": [[re, im], ...]}.
+{"dim": n, "entries": [[[re, im], ...], ...]}.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 
 class MalformedInputError(ValueError):
-    """The JSON document does not follow the matrix/state schema."""
+    """The JSON document does not follow the matrix schema."""
 
 
 def _pair(z: complex) -> list:
@@ -28,11 +27,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
         "dim": int(m.shape[0]),
         "entries": [[_pair(z) for z in row] for row in m],
     }
-
-
-def state_to_json(psi: np.ndarray) -> dict:
-    psi = np.asarray(psi).ravel()
-    return {"dim": int(psi.shape[0]), "amplitudes": [_pair(z) for z in psi]}
 
 
 def _complex_from_pair(item) -> complex:
@@ -58,18 +52,6 @@ def matrix_from_json(obj) -> np.ndarray:
         for j, item in enumerate(row):
             out[i, j] = _complex_from_pair(item)
     return out
-
-
-def state_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or "amplitudes" not in obj:
-        raise MalformedInputError('state JSON requires "dim" and "amplitudes" keys')
-    n = obj["dim"]
-    amps = obj["amplitudes"]
-    if not isinstance(n, int) or n <= 0:
-        raise MalformedInputError(f'"dim" must be a positive integer, got {n!r}')
-    if not isinstance(amps, list) or len(amps) != n:
-        raise MalformedInputError(f'"amplitudes" must hold {n} entries')
-    return np.array([_complex_from_pair(a) for a in amps])
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -208,15 +208,28 @@ def test_ascend_zero_gradient_column_is_unchanged():
         assert np.all(refined.values == 0)
         assert refined.nfev == starts.shape[1]
 
-        # -|psi_0|^2 has zero gradient wherever psi_0 = 0; those columns stay
-        # put while the others ascend beside them.
+        # |psi_0|^2 has zero gradient wherever psi_0 = 0, its minimum; those
+        # columns stay put while the others ascend beside them.
         def value_and_gradient(psi):
-            return -np.abs(psi[0]) ** 2, -psi[0] * (np.arange(4) == 0)[:, None]
+            return np.abs(psi[0]) ** 2, psi[0] * (np.arange(4) == 0)[:, None]
 
         flat = np.eye(4, dtype=complex)[:, 1:]
         states = minimize(value_and_gradient, np.column_stack([flat, starts]), cfg).states
     assert np.array_equal(states[:, :3], flat)
-    assert np.max(np.abs(states[0, 3:])) <= 1e-6
+    assert np.min(np.abs(states[0, 3:])) >= 1 - 1e-6
+
+
+def test_minimize_drops_columns_below_a_stopped_best():
+    # -|psi_0|^2 is at its maximum 0 wherever psi_0 = 0.  Those columns stop at
+    # once, and no other column can climb above them, so the search ends there.
+    def value_and_gradient(psi):
+        return -np.abs(psi[0]) ** 2, -psi[0] * (np.arange(4) == 0)[:, None]
+
+    starts = np.column_stack([np.eye(4, dtype=complex)[:, 1:],
+                              _random_states(8, np.random.default_rng(403))])
+    refined = minimize(value_and_gradient, starts, SearchConfig())
+    assert np.array_equal(refined.states, starts)
+    assert refined.nfev == 11
 
 
 def test_ascend_climbs_a_nearly_flat_objective():

@@ -1,4 +1,4 @@
-"""Tests for the JSON matrix/state formats."""
+"""Tests for the JSON matrix format."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from gatecap.serialization import (
     matrix_from_json,
     matrix_to_json,
     save_matrix,
-    state_from_json,
-    state_to_json,
 )
 
 
@@ -19,11 +17,6 @@ def test_matrix_round_trip():
     rng = np.random.default_rng(113)
     u = haar_random_unitary(4, rng)
     assert np.array_equal(matrix_from_json(matrix_to_json(u)), u)
-
-
-def test_state_round_trip():
-    psi = np.array([0.5, 0.5j, -0.5, -0.5j])
-    assert np.array_equal(state_from_json(state_to_json(psi)), psi)
 
 
 def test_matrix_schema_shape():
@@ -45,11 +38,6 @@ def test_matrix_rejects_ragged_rows():
 def test_matrix_rejects_bad_pairs():
     with pytest.raises(MalformedInputError):
         matrix_from_json({"dim": 1, "entries": [[["a", 0]]]})
-
-
-def test_state_rejects_wrong_length():
-    with pytest.raises(MalformedInputError):
-        state_from_json({"dim": 4, "amplitudes": [[1, 0]]})
 
 
 def test_file_round_trip(tmp_path):
