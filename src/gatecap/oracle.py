@@ -1,8 +1,8 @@
 """Brute-force optimizers that independently verify the closed forms.
 
 Each search scores a coarse pool of inputs and refines the best of them
-by one Riemannian conjugate-gradient ascent on unit vectors, all restarts
-as the columns of one array; the product search first runs alternating
+by one Riemannian Newton ascent on unit vectors, all restarts as the
+columns of one array; the product search first runs alternating
 Autonne-Takagi ascent over its two qubits and then polishes its best first
 qubit.  The searches never call the closed forms or the spectral geometry
 they check; agreement between the routes is asserted in the test suite.
@@ -30,10 +30,10 @@ class SearchConfig:
     refined, all together.  ``refine_iterations`` caps the steps of each
     sphere ascent and the product search's alternating sweeps.
     ``tolerance`` is the gain per sweep below which the product search's
-    alternating sweeps stop; ``tolerance`` squared is the tangent step
-    length (for small steps, the angle moved) below which a sphere ascent
-    stops a start, and the ascent ends once no live start is above the best
-    stopped one.
+    alternating sweeps stop; ``tolerance`` squared is the length of a
+    Newton step (for small steps, the angle moved) below which a sphere
+    ascent stops a start, and the ascent ends once no live start is above
+    the best stopped one.
     ``seed`` seeds the random pool and probes.  The three counts must be
     positive integers, the seed an integer and the tolerance positive and
     finite; anything else raises ValueError.
@@ -202,15 +202,16 @@ def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _seeded_pool(count: int, seed: int) -> np.ndarray:
-    """``_random_states(count, default_rng(seed))``, drawn once per process.
+def _seeded_pool(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_random_states(count, default_rng(seed))`` and its concurrences.
 
-    The pure-input searches of one gate share their pool; the array is
-    read-only because every caller gets the same one.
+    Drawn once per process: the pure-input searches of one gate share their
+    pool, and the arrays are read-only because every caller gets the same ones.
     """
     pool = _random_states(count, np.random.default_rng(seed))
-    pool.flags.writeable = False
-    return pool
+    concurrence = _concurrence(pool)
+    pool.flags.writeable = concurrence.flags.writeable = False
+    return pool, concurrence
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,6 +225,8 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # step is tried again.
 _LADDER = 2.0 ** np.arange(-4, 5)
 _FALLBACK = _LADDER[0] ** 2 / 2
+# The forward-difference step h of the Newton ascent, about sqrt(unit roundoff).
+_PROBE = 2.0 ** -26
 
 
 @dataclass(frozen=True)
@@ -237,99 +240,105 @@ class Refinement:
 
 
 def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refinement:
-    """Riemannian conjugate-gradient ascent from every column of ``psi`` at once.
+    """Riemannian Newton ascent from every column of ``psi`` at once.
 
     ``value_and_gradient`` maps unit vectors, the columns of an (n, m) array,
     to their m real values f and the Wirtinger gradients g = df/d(conj psi),
-    so that f changes by 2 Re(g^dag dpsi).  Directions are Polak-Ribiere+
-    combinations of tangent-projected gradients, restarted whenever one is
-    not an ascent direction; a step psi + t d is retracted by normalising.
+    so that f changes by 2 Re(g^dag dpsi); f must not depend on the global
+    phase, as no search's objective does.  At a point x the 2n - 2 real
+    directions b_k orthogonal to x and i x (a Householder basis, and i times
+    it) carry the coordinates c of a step d = sum c_k b_k, retracted by
+    normalising x + d: f changes by 2 r.c, r_k = Re(b_k^dag g), and
+    A = -dr/dc comes from forward differences of the tangent-projected
+    gradients at x + h b_k, in one more call.  The direction solves
+    (A + a tiny ridge) c = r when r.c > 0, and is r / max|A| otherwise.
+    Where h|A - A^T| exceeds 1e-3 of the probes' gradients, the probes
+    straddle a kink of f, where Newton steps follow round-off amplified by
+    1 / h: that column goes back to its start and stops.
 
     Each iteration evaluates every live column at the ladder of steps
-    t 2^k, k = -4..4, in one call, and takes the rung of largest gain among
-    those that strictly increase the value and gain at least half the
-    predicted ascent 2t Re(g^dag d).  The next ladder is centred on the
-    accepted rung; when no rung passes, it lies wholly below the lowest
-    rung.  Steps are lengths t|d| on the sphere, not multiples of the
-    gradient: the first centre t = 1/|d| is a tangent step of length one,
-    so the ladder does not depend on the scale of f.  A column stops once
-    t|d| is below ``tolerance`` squared, or after ``refine_iterations``
-    steps, so a column of zero gradient comes back unchanged.  The search
-    ends once the best value among the stopped columns is at least every
-    live column's value: callers keep only the best column, and the live
-    ones are left where they are.  The values returned are those of one call
-    on the returned states.
-
-    The live columns' states, gradients and directions are the three rows
-    of one (3, n, m) array, and each column carries |g|^2, the slope
-    Re(g^dag d) and |d|^2, so the stop test, the ascent test and the
-    Polak-Ribiere+ ratio reuse them.  At the accepted state x the new
-    gradient and the old direction d are projected onto the tangent space
-    together (vector transport by projection).  The old gradient g needs no
-    projection T(x, g): the new tangent gradient h is orthogonal to x, so
-    Re(h^dag T(x, g)) = Re(h^dag g), the ratio's numerator is
-    |h|^2 - Re(h^dag g), and the new slope is |h|^2 + beta Re(h^dag T(x, d)).
+    t 2^k, k = -4..4, times its direction in one call, and takes the rung of
+    largest gain among those that strictly increase the value and gain at
+    least a quarter of the linear prediction 2t r.c (a full Newton step
+    gains half of it on a quadratic).  The next ladder is centred on the
+    accepted rung, the first on t = 1; when no rung passes, it lies wholly
+    below the lowest rung.  A column stops once t|d|, for the next centre t
+    and its last direction d, is below ``tolerance`` squared, or after
+    ``refine_iterations`` steps; a column of zero gradient stops before any
+    step, so it comes back unchanged.  The search ends once the best value
+    among the stopped columns is at least every live column's value:
+    callers keep only the best column, and the live ones are left where
+    they are.  The values returned are those of one call on the returned
+    states.
 
     Every search refines through this one module global, which
     perfbench/tracing.py wraps to count refinements by ``nfev`` and ``fun``.
     """
     states = np.array(psi, dtype=complex)
     values, grad = value_and_gradient(states)
-    grad = grad - states * _inner(states, grad)
-    # The working arrays hold the live columns only; cols maps them back.
-    work = np.stack([states, grad, grad])
-    value, cols = values, np.arange(states.shape[1])
-    grad_sq = slope = dir_sq = _inner(grad, grad).real
-    step = np.divide(1, np.sqrt(dir_sq), out=np.ones_like(dir_sq), where=dir_sq > 0)
-    evaluations = cols.size
-    stopped_best = -np.inf
+    n, m = states.shape
+    # The live columns' states and tangent gradients; cols maps them back.
+    work = np.stack([states, grad - states * _inner(states, grad)])
+    value, cols = values, np.arange(m)
+    step, length = np.ones(m), (_inner(work[1], work[1]).real > 0) * 1.0
+    evaluations, stopped_best = m, -np.inf
     for _ in range(cfg.refine_iterations):
-        live = step * np.sqrt(dir_sq) >= cfg.tolerance ** 2
+        live = step * length >= cfg.tolerance ** 2
         if not live.all():
             # Live values only rise, so the search can end only when a column stops.
             stopped_best = max(stopped_best, value[~live].max())
             if value[live].max(initial=-np.inf) <= stopped_best:
                 live[:] = False
             states[:, cols] = work[0]
-            work, value, cols = work[:, :, live], value[live], cols[live]
-            grad_sq, slope, dir_sq, step = grad_sq[live], slope[live], dir_sq[live], step[live]
+            work, value, cols, step = work[:, :, live], value[live], cols[live], step[live]
             if not cols.size:
                 break
+        x, grad = work
+        # Columns 1.. of the reflection I - v v^dag / (1 + |x_0|) that takes x
+        # to a multiple of e_0, v = x + e_0 x_0 / |x_0| (e_0 where x_0 = 0).
+        v = x + np.eye(n, 1) * np.exp(1j * np.angle(x[0]))
+        basis = np.eye(n)[:, 1:, None] - v[:, None] * (x[1:].conj() / (1 + np.abs(x[0])))
+        basis = np.concatenate([basis, 1j * basis], axis=1)
+        # |x + h b_k| = sqrt(1 + h^2) rounds to 1, so the probes need no normalising.
+        probes = x[:, None] + _PROBE * basis
+        probe_grad = value_and_gradient(probes.reshape(n, -1))[1].reshape(probes.shape)
+        evaluations += probes.shape[1] * cols.size
+        g_max = np.abs(probe_grad).max(axis=(0, 1))
+        probe_grad = probe_grad - probes * (probes.conj() * probe_grad).sum(axis=0)
+        # r at x (column 0) and at the probes, the columns' axis first.
+        coords = np.einsum("njm,nkm->mjk", basis.conj(),
+                           np.concatenate([grad[:, None], probe_grad], axis=1)).real
+        r = coords[:, :, 0]
+        a = (r[:, :, None] - coords[:, :, 1:]) / _PROBE
+        a_max = np.abs(a).max(axis=(1, 2))
+        kink = _PROBE * np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-3 * g_max
+        ridge = (1e-12 * (a_max + np.abs(r).max(axis=1)))[:, None, None] * np.eye(len(r[0]))
+        c = np.linalg.solve(a + ridge, r[:, :, None])[:, :, 0]
+        c = np.where(((r * c).sum(axis=1) > 0)[:, None], c,
+                     np.divide(r, a_max[:, None], out=r.copy(), where=a_max[:, None] > 0))
+        slope = (r * c).sum(axis=1)
+        length = np.sqrt((c * c).sum(axis=1))
+        d = np.einsum("njm,mj->nm", basis, c)
+
         steps = step * _LADDER[:, None]
-        trial = work[0, :, None] + steps * work[2, :, None]
+        trial = x[:, None] + steps * d[:, None]
         # np.linalg.norm's own sum, without its argument handling.
         trial /= np.sqrt((trial.conj() * trial).real.sum(axis=0))
-        trial = trial.reshape(len(trial), -1)
+        trial = trial.reshape(n, -1)
         trial_value, trial_grad = value_and_gradient(trial)
         evaluations += trial_value.size
         gain = trial_value.reshape(steps.shape) - value
-        passing = (gain > 0) & (gain >= steps * slope)
+        passing = (gain > 0) & (gain >= steps * slope / 2)
         rung = np.where(passing, gain, -np.inf).argmax(axis=0)
         at = np.arange(cols.size)
         ok = passing[rung, at]
         step = np.where(ok, steps[rung, at], step * _FALLBACK)
-
-        # new = [x, h, T(x, d), g]: the accepted states, their tangent
-        # gradients, the transported directions, and the old gradients.
         taken = rung * cols.size + at
-        new = np.concatenate([[trial.take(taken, axis=1), trial_grad.take(taken, axis=1)],
-                              work[:0:-1]])
-        new[1:3] -= new[0] * _inner(new[0], new[1:3])[:, None]
-        # |h|^2, Re(h^dag T(x, d)) and Re(h^dag g), h the new tangent gradient.
-        new_grad_sq, h_dot_td, h_dot_g = _inner(new[1], new[1:]).real
-        beta = np.maximum(np.divide(new_grad_sq - h_dot_g, grad_sq,
-                                    out=np.zeros_like(grad_sq), where=grad_sq > 0), 0)
-        new_slope = new_grad_sq + beta * h_dot_td
-        ascent = new_slope > 0
-        beta = np.where(ascent, beta, 0)
-        new_slope = np.where(ascent, new_slope, new_grad_sq)
-        new[2] *= beta
-        new[2] += new[1]
-        work = np.where(ok, new[:3], work)
+        new = np.stack([trial.take(taken, axis=1), trial_grad.take(taken, axis=1)])
+        new[1] -= new[0] * _inner(new[0], new[1])
+        work = np.where(ok, new, work)
         value = np.where(ok, trial_value[taken], value)
-        grad_sq = np.where(ok, new_grad_sq, grad_sq)
-        slope = np.where(ok, new_slope, slope)
-        dir_sq = np.where(ok, _inner(new[2], new[2]).real, dir_sq)
+        work[0][:, kink], value[kink], length[kink] = psi[:, cols[kink]], values[cols[kink]], 0
     states[:, cols] = work[0]
     if evaluations > states.shape[1]:
         # A value found within a ladder can differ in its last bit from the
@@ -371,8 +380,8 @@ def _max_pure_input_gain(u: np.ndarray, power: int, cfg: SearchConfig, seeds=())
     only; the given seed states and the best samples are refined together by
     ``minimize``.  Returns the best state and the evaluation count.
     """
-    pool = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
-    values = _concurrence(u @ pool) ** power - _concurrence(pool) ** power
+    pool, pool_concurrence = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
+    values = _concurrence(u @ pool) ** power - pool_concurrence ** power
     count = min(max(cfg.restarts - len(seeds), 1), values.size)
     best = np.argpartition(values, -count)[-count:]
     starts = np.column_stack([*seeds, pool[:, best[np.argsort(values[best])[::-1]]]])
@@ -389,13 +398,13 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     eigenvalues of U_d^2, and half the widest spectral chord is
     ``c_max_prod``.)  The maximum sits on the kink C(psi) = 0, which the
     ascent alone approaches poorly, so the product search's maximizer is
-    refined alongside the best random inputs; these climb until the best
-    start, usually that seed, stops.  The value is recomputed from the
-    returned state.  That product search comes from the one-entry memo
-    of ``max_concurrence_product``, so right after a product search on the
-    same gate and config it costs nothing; ``evaluations`` counts it either
-    way.  The memo's read-only state only seeds the ascent: the state
-    returned here is a fresh array.
+    refined alongside the best random inputs; the ascent leaves that seed,
+    on the kink, where it is, and the search ends once it is the best
+    start.  The value is recomputed from the returned state.  That product
+    search comes from the one-entry memo of ``max_concurrence_product``, so
+    right after a product search on the same gate and config it costs
+    nothing; ``evaluations`` counts it either way.  The memo's read-only
+    state only seeds the ascent: the state returned here is a fresh array.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):

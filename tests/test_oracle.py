@@ -97,63 +97,69 @@ def test_objective_gradients_match_finite_differences(objective):
 
 
 def _reference_minimize(value_and_gradient, psi, cfg):
-    """The sphere ascent of ``minimize`` with every projection and inner product
-    written out: the final values and the evaluation count."""
-    def inner(a, b):
-        return (a.conj() * b).sum(axis=0)
-
-    def tangent(x, v):
-        return v - x * inner(x, v)
-
+    """The Newton ascent of ``minimize`` one column at a time and without its
+    early end, with a QR basis of each tangent space, a dense forward-difference
+    Hessian and every projection written out: the final values and the
+    evaluation count."""
+    h = oracle._PROBE
     states = np.array(psi, dtype=complex)
-    values, grad = value_and_gradient(states)
-    x, value, cols = states, values, np.arange(states.shape[1])
-    grad = tangent(x, grad)
-    direction = grad
-    norm = np.linalg.norm(direction, axis=0)
-    step = np.divide(1, norm, out=np.ones_like(norm), where=norm > 0)
-    evaluations = cols.size
-    for _ in range(cfg.refine_iterations):
-        live = step * np.linalg.norm(direction, axis=0) >= cfg.tolerance ** 2
-        if not live.all():
-            states[:, cols] = x
-            x, value, grad, direction = x[:, live], value[live], grad[:, live], direction[:, live]
-            step, cols = step[live], cols[live]
-            if not cols.size:
+    n, m = states.shape
+    size = 2 * n - 2
+    evaluations = m
+    for col in range(m):
+        x = states[:, col]
+        value, grad = (out[..., 0] for out in value_and_gradient(x[:, None]))
+        step, length = 1.0, float(np.any(grad - x * np.vdot(x, grad)))
+        for _ in range(cfg.refine_iterations):
+            if step * length < cfg.tolerance ** 2:
                 break
-        steps = step * oracle._LADDER[:, None]
-        trial = x[:, None, :] + steps * direction[:, None, :]
-        trial /= np.linalg.norm(trial, axis=0)
-        trial_value, trial_grad = value_and_gradient(trial.reshape(len(x), -1))
-        evaluations += trial_value.size
-        trial_value, trial_grad = trial_value.reshape(steps.shape), trial_grad.reshape(trial.shape)
-        gain = trial_value - value
-        passing = (gain > 0) & (gain >= steps * np.real(inner(grad, direction)))
-        rung = np.where(passing, gain, -np.inf).argmax(axis=0)
-        ok = passing.any(axis=0)
-        step = np.where(ok, step * oracle._LADDER[rung], step * oracle._FALLBACK)
-        at = np.arange(cols.size)
-        trial, trial_value = trial[:, rung, at], trial_value[rung, at]
-        new_grad = tangent(trial, trial_grad[:, rung, at])
-        old = np.real(inner(grad, grad))
-        beta = np.real(inner(new_grad, new_grad - tangent(trial, grad)))
-        beta = np.maximum(np.divide(beta, old, out=np.zeros_like(beta), where=old > 0), 0)
-        new_direction = new_grad + beta * tangent(trial, direction)
-        new_direction = np.where(np.real(inner(new_grad, new_direction)) > 0,
-                                 new_direction, new_grad)
-        x = np.where(ok, trial, x)
-        value = np.where(ok, trial_value, value)
-        grad = np.where(ok, new_grad, grad)
-        direction = np.where(ok, new_direction, direction)
-    states[:, cols] = x
-    return value_and_gradient(states)[0], evaluations + states.shape[1]
+            # An orthonormal basis of the vectors orthogonal to x, and i times it:
+            # the real directions orthogonal to x and i x.
+            q = np.linalg.qr(np.column_stack([x, np.eye(n)]))[0][:, 1:n]
+            basis = np.column_stack([q, 1j * q])
+            r = np.real(basis.conj().T @ (grad - x * np.vdot(x, grad)))
+            probes = x[:, None] + h * basis
+            probes /= np.linalg.norm(probes, axis=0)
+            probe_grad = value_and_gradient(probes)[1]
+            scale = np.max(np.abs(probe_grad))
+            evaluations += size
+            hessian = np.empty((size, size))
+            for k in range(size):
+                p, g = probes[:, k], probe_grad[:, k]
+                hessian[:, k] = (np.real(basis.conj().T @ (g - p * np.vdot(p, g))) - r) / h
+            a = -hessian
+            ridge = 1e-12 * (np.max(np.abs(a)) + np.max(np.abs(r)))
+            c = np.linalg.solve(a + ridge * np.eye(size), r)
+            if r @ c <= 0:
+                c = r / np.max(np.abs(a))
+            if h * np.max(np.abs(a - a.T)) > 1e-3 * scale:
+                # The probes straddle a kink: back to the start, and stop.
+                x = states[:, col]
+                break
+            d = basis @ c
+            length = np.linalg.norm(d)
+            steps = step * oracle._LADDER
+            trial = x[:, None] + steps * d[:, None]
+            trial /= np.linalg.norm(trial, axis=0)
+            trial_value, trial_grad = value_and_gradient(trial)
+            evaluations += steps.size
+            gain = trial_value - value
+            passing = (gain > 0) & (gain >= steps * (r @ c) / 2)
+            if passing.any():
+                rung = np.argmax(np.where(passing, gain, -np.inf))
+                x, value, grad = trial[:, rung], trial_value[rung], trial_grad[:, rung]
+                step = steps[rung]
+            else:
+                step *= oracle._FALLBACK
+        states[:, col] = x
+    return value_and_gradient(states)[0], evaluations + m
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_minimize_climbs_as_the_explicit_reference(objective):
-    # minimize carries |g|^2, Re(g^dag d) and |d|^2 and fuses the projections;
-    # a slip in those identities still climbs, but more slowly, so the best
-    # values and the evaluation count are both held to the explicit form.
+    # minimize builds a Householder basis and batches the Hessian's projections;
+    # a slip in those still climbs, but more slowly, so the best values and
+    # the evaluation count are both held to the explicit form.
     cfg = SearchConfig()
     nfev = reference_nfev = 0
     for seed in (401, 404):
@@ -232,6 +238,36 @@ def test_minimize_drops_columns_below_a_stopped_best():
     assert refined.nfev == 11
 
 
+def test_minimize_leaves_a_start_on_a_kink_where_it_is():
+    # C(U psi) - C(psi) has a kink wherever C(psi) = 0: the forward differences
+    # of a product start straddle it, so that start comes back as it went in.
+    rng = np.random.default_rng(417)
+    u = haar_random_unitary(4, rng)
+    qubits = _random_states(2, rng)[:2]
+    start = np.kron(*(qubits / np.linalg.norm(qubits, axis=0)).T)[:, None]
+    refined = minimize(_gain_objective(u, 1), start, SearchConfig())
+    assert np.array_equal(refined.states, start)
+    assert refined.nfev == 1 + 6 + 9 + 1
+
+
+def test_minimize_converges_quadratically_on_a_rayleigh_quotient():
+    # psi^dag A psi has the nondegenerate maximum lambda_max, where Newton steps
+    # converge quadratically: a few iterations of two calls each reach it.
+    rng = np.random.default_rng(416)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = (z + z.conj().T) / 2
+    calls = []
+
+    def value_and_gradient(psi):
+        calls.append(psi.shape[1])
+        a_psi = a @ psi
+        return (psi.conj() * a_psi).sum(axis=0).real, a_psi
+
+    refined = minimize(value_and_gradient, _random_states(8, rng), SearchConfig())
+    assert abs(-refined.fun - np.linalg.eigvalsh(a)[-1]) <= 1e-14
+    assert len(calls) <= 16
+
+
 def test_ascend_climbs_a_nearly_flat_objective():
     # f = 1 + 1e-8 |psi_0|^2 on C^2: a step of the gradient's own length
     # changes f by less than its round-off.
@@ -244,11 +280,13 @@ def test_ascend_climbs_a_nearly_flat_objective():
 
 
 def test_seeded_pool_is_drawn_once_and_read_only():
-    pool = oracle._seeded_pool(SearchConfig().coarse_grid_per_angle ** 3, 0)
-    assert pool is oracle._seeded_pool(13824, 0)
+    pool, pool_concurrence = oracle._seeded_pool(SearchConfig().coarse_grid_per_angle ** 3, 0)
+    assert pool is oracle._seeded_pool(13824, 0)[0]
     assert np.array_equal(pool, _random_states(13824, np.random.default_rng(0)))
-    with pytest.raises(ValueError):
-        pool[0, 0] = 0
+    assert np.array_equal(pool_concurrence, _concurrence(pool))
+    for array in (pool, pool_concurrence):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_product_memo_hit_equals_a_cold_search():
@@ -509,6 +547,20 @@ def test_probe_overlap_haar_draw_289():
     assert abs(result.value - d_min_canonical(d)) <= 1e-6
     psi = result.argmax_state
     assert abs(np.abs(np.vdot(psi, u_d @ u_d @ psi)) - result.value) <= 1e-12
+
+
+def test_probe_search_reaches_zero_on_perfect_entanglers():
+    # D_min = 0 is a quadratic minimum of |<phi|V|phi>|^2, so the overlap itself
+    # is only as small as the search converges tightly.
+    rng = np.random.default_rng(7)
+    perfect = 0
+    for _ in range(300):
+        d = cartan_decompose(haar_random_unitary(4, rng)).d
+        if d_min_canonical(d) == 0:
+            u_d = canonical_unitary(d)
+            assert min_probe_overlap(u_d @ u_d).value <= 1e-14
+            perfect += 1
+    assert perfect == 254
 
 
 def test_oracle_determinism():
