@@ -15,7 +15,6 @@ from .linalg import (
     check_unitary,
     eig_unitary,
     haar_random_unitary,
-    random_product_state,
     random_pure_state,
     unitarity_defect,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "max_delta_concurrence",
     "min_probe_overlap",
     "mirror_negative_alpha_z",
-    "random_product_state",
     "random_pure_state",
     "relation1_signals",
     "save_matrix",

@@ -199,8 +199,3 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
         raise DimensionMismatchError(f"only dimensions 2 and 4 are supported, got {dim}")
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
-
-
-def random_product_state(rng: np.random.Generator) -> np.ndarray:
-    """Random two-qubit product state (tensor product of single-qubit states)."""
-    return kron_state(random_pure_state(2, rng), random_pure_state(2, rng))

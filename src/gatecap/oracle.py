@@ -29,11 +29,11 @@ class SearchConfig:
     best pool points (for the probe search, seeded random probes) are
     refined, all together.  ``refine_iterations`` caps the steps of each
     sphere ascent and the product search's alternating sweeps.
-    ``tolerance`` is the gain per sweep below which the product search's
-    alternating sweeps stop; ``tolerance`` squared is the length of a
-    Newton step (for small steps, the angle moved) below which a sphere
-    ascent stops a start, and the ascent ends once no live start is above
-    the best stopped one.
+    The product search's alternating sweeps end once the start of highest
+    value gains at most ``tolerance`` in a sweep; ``tolerance`` squared is
+    the length of a Newton step (for small steps, the angle moved) below
+    which a sphere ascent stops a start, and the ascent ends once no live
+    start is above the best stopped one.
     ``seed`` seeds the random pool and probes.  The three counts must be
     positive integers, the seed an integer and the tolerance positive and
     finite; anything else raises ValueError.
@@ -142,10 +142,11 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     sigma_max(M(a)), reached at its top Autonne-Takagi vector.  The search
     scores a ``coarse_grid_per_angle`` squared (theta, phi) grid over a,
     runs alternating a/b Takagi ascent from the best ``restarts`` grid
-    points together until no start gains more than ``tolerance`` in a sweep
-    (at most ``refine_iterations`` sweeps), polishes the best a by sphere
-    ascent on sigma_max(M(a))^2, and returns a (x) b.  Each evaluation is one
-    2x2 singular value.
+    points together until the start of highest value gains no more than
+    ``tolerance`` in a sweep (at most ``refine_iterations`` sweeps), polishes
+    that start's a by sphere ascent on sigma_max(M(a))^2, and returns
+    a (x) b.  The other starts are left where they are, as only the best is
+    polished.  Each evaluation is one 2x2 singular value.
 
     The last search is memoised, keyed by the matrix's entries and the
     config: asked again for the same gate, as the gain search does right
@@ -176,17 +177,18 @@ def _product_search(entries: bytes, cfg: SearchConfig) -> SearchResult:
     order = np.argsort(values)[::-1][:cfg.restarts]
     a, values = a[order], values[order]
     # The polish below climbs to a tangent step of tolerance squared, so the
-    # sweeps only need to bring the best start near the top.
+    # sweeps only need to bring the best start near the top, and they end once
+    # that start gains no more than tolerance: only it is polished.
     for _ in range(cfg.refine_iterations):
         b, _ = _takagi_top(_contract(g, a))
         a, improved = _takagi_top(_contract(g_swapped, b))
         evaluations += 2 * a.shape[0]
-        converged = np.max(improved - values) <= cfg.tolerance
-        values = improved
-        if converged:
+        best = np.argmax(improved)
+        if improved[best] - values[best] <= cfg.tolerance:
             break
+        values = improved
 
-    polish = minimize(_product_objective(g, g_swapped), a[[np.argmax(values)]].T, cfg)
+    polish = minimize(_product_objective(g, g_swapped), a[[best]].T, cfg)
     a = polish.states[:, 0]
     b, _ = _takagi_top(_contract(g, a))
     state = np.kron(a, b)

@@ -30,8 +30,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def _complex_from_pair(item) -> complex:
+    # bool is an int subclass, but a JSON true is not a number.
     if (not isinstance(item, (list, tuple)) or len(item) != 2
-            or not all(isinstance(v, (int, float)) for v in item)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)):
         raise MalformedInputError(f"expected a [re, im] pair, got {item!r}")
     return complex(item[0], item[1])
 
@@ -40,7 +41,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise MalformedInputError('matrix JSON requires "dim" and "entries" keys')
     n = obj["dim"]
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise MalformedInputError(f'"dim" must be a positive integer, got {n!r}')
     rows = obj["entries"]
     if not isinstance(rows, list) or len(rows) != n:

@@ -116,6 +116,13 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "malformed-input" in capsys.readouterr().err
 
 
+def test_analyze_boolean_dim(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": true, "entries": [[[1.0, 0.0]]]}')
+    assert main(["analyze", str(path)]) == 2
+    assert "malformed-input" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/u.json"]) == 2
 

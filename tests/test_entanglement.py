@@ -11,7 +11,7 @@ from gatecap.entanglement import (
     entropy_of_entanglement,
     is_perfect_entangler,
 )
-from gatecap.linalg import haar_random_unitary, kron, random_product_state, random_pure_state
+from gatecap.linalg import haar_random_unitary, kron, kron_state, random_pure_state
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PI_4 = np.pi / 4
@@ -58,7 +58,8 @@ def test_concurrence_local_invariance():
 def test_concurrence_zero_on_kron_products():
     rng = np.random.default_rng(47)
     for _ in range(50):
-        assert concurrence(random_product_state(rng)) <= 1e-12
+        psi = kron_state(random_pure_state(2, rng), random_pure_state(2, rng))
+        assert concurrence(psi) <= 1e-12
 
 
 def test_entropy_values():

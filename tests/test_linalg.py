@@ -16,7 +16,6 @@ from gatecap.linalg import (
     eig_unitary,
     haar_random_unitary,
     kron,
-    random_product_state,
     random_pure_state,
     unitarity_defect,
 )
@@ -111,8 +110,6 @@ def test_random_states_normalized_and_deterministic():
     psi2 = random_pure_state(4, np.random.default_rng(21))
     assert np.array_equal(psi1, psi2)
     assert abs(np.linalg.norm(psi1) - 1.0) <= 1e-12
-    prod = random_product_state(np.random.default_rng(22))
-    assert abs(np.linalg.norm(prod) - 1.0) <= 1e-12
 
 
 def test_check_state_rejects_unnormalized():

@@ -427,6 +427,21 @@ def test_product_polish_reaches_a_flat_maximum():
     assert abs(result.value - capacities_closed_form(d).c_max_prod) <= 1e-13
 
 
+def test_product_sweeps_end_once_the_best_start_stops():
+    # Just off the face ay = |az| one start that is not the best crawls along
+    # a flat ridge; sweeping until every start stops ran into the sweep cap.
+    d = np.array([0.310253, 0.100896, -0.100378])
+    rng = np.random.default_rng(0)
+    u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+         @ canonical_unitary(d)
+         @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+    c_max_prod = capacities_closed_form(d).c_max_prod
+    result = max_concurrence_product(u)
+    assert result.evaluations <= 2000
+    assert abs(result.value - c_max_prod) <= 1e-12
+    assert abs(max_delta_concurrence(u).value - c_max_prod) <= 1e-12
+
+
 def test_product_capacity_identity():
     assert max_concurrence_product(np.eye(4, dtype=complex), FAST).value <= 1e-9
 

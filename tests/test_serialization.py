@@ -40,6 +40,16 @@ def test_matrix_rejects_bad_pairs():
         matrix_from_json({"dim": 1, "entries": [[["a", 0]]]})
 
 
+def test_matrix_rejects_booleans():
+    # JSON true and false are not numbers, though Python's bool is an int.
+    with pytest.raises(MalformedInputError):
+        matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})
+    with pytest.raises(MalformedInputError):
+        matrix_from_json({"dim": 1, "entries": [[[True, 0.0]]]})
+    with pytest.raises(MalformedInputError):
+        matrix_from_json({"dim": 1, "entries": [[[1.0, False]]]})
+
+
 def test_file_round_trip(tmp_path):
     path = str(tmp_path / "u.json")
     u = haar_random_unitary(4, np.random.default_rng(127))
