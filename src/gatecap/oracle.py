@@ -1,11 +1,13 @@
 """Brute-force optimizers that independently verify the closed forms.
 
-Each search scores a coarse pool of inputs and refines the best of them
-by one Riemannian Newton ascent on unit vectors, all restarts as the
-columns of one array; the product search first runs alternating
-Autonne-Takagi ascent over its two qubits and then polishes its best first
-qubit.  The searches never call the closed forms or the spectral geometry
-they check; agreement between the routes is asserted in the test suite.
+Each search refines its starts by one Riemannian Newton ascent on unit
+vectors, all restarts as the columns of one array.  The unrestricted search
+starts from the best of a coarse pool of inputs and the probe search from
+seeded random probes; the product search runs alternating Autonne-Takagi
+ascent over its two qubits from the best of a grid and then polishes its
+best first qubit, and the gain search refines that product maximiser alone.
+The searches never call the closed forms or the spectral geometry they
+check; agreement between the routes is asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ class SearchConfig:
     """Deterministic search parameters shared by all oracle operations.
 
     ``coarse_grid_per_angle`` (n) sizes the coarse pool: the product search
-    scans an n x n (theta, phi) grid over its first qubit, the pure-input
-    searches score n^3 Haar-random inputs.  ``restarts`` is how many of the
+    scans an n x n (theta, phi) grid over its first qubit, the unrestricted
+    search scores n^3 Haar-random inputs.  ``restarts`` is how many of the
     best pool points (for the probe search, seeded random probes) are
-    refined, all together.  ``refine_iterations`` caps the steps of each
-    sphere ascent and the product search's alternating sweeps.
+    refined, all together; the gain search refines one start, the product
+    maximiser.  ``refine_iterations`` caps the steps of each sphere ascent
+    and the product search's alternating sweeps.
     The product search's alternating sweeps end once the start of highest
     value gains at most ``tolerance`` in a sweep; ``tolerance`` squared is
     the length of a Newton step (for small steps, the angle moved) below
-    which a sphere ascent stops a start, and the ascent ends once no live
-    start is above the best stopped one.
+    which a sphere ascent stops a start.  A start also stops once its last
+    Newton step was predicted to gain at most one ulp of its value, and the
+    ascent ends once no live start is above the best stopped one.
     ``seed`` seeds the random pool and probes.  The three counts must be
     positive integers, the seed an integer and the tolerance positive and
     finite; anything else raises ValueError.
@@ -159,6 +163,20 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     return _product_search(u.tobytes(), cfg)
 
 
+@functools.lru_cache(maxsize=4)
+def _qubit_grid(n: int) -> np.ndarray:
+    """The (n^2, 2) first qubits cos(t/2)|0> + e^{ip} sin(t/2)|1> of the product search.
+
+    The (t, p) grid includes both ends of each angle's range, so degenerate
+    extremals are sampled exactly.  Built once per n, and read-only because
+    every search gets the same array.
+    """
+    t, p = np.meshgrid(np.linspace(0, np.pi, n), np.linspace(0, 2 * np.pi, n), indexing="ij")
+    grid = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=-1).reshape(-1, 2)
+    grid.flags.writeable = False
+    return grid
+
+
 @functools.lru_cache(maxsize=1)
 def _product_search(entries: bytes, cfg: SearchConfig) -> SearchResult:
     """The search of ``max_concurrence_product`` on a checked 4x4 unitary's C-order bytes."""
@@ -166,11 +184,7 @@ def _product_search(entries: bytes, cfg: SearchConfig) -> SearchResult:
     g = (u.T @ SIGMA_YY @ u).reshape(2, 2, 2, 2)
     g_swapped = g.transpose(1, 0, 3, 2)  # the same form with the qubits' roles exchanged
 
-    # cos(t/2)|0> + e^{ip} sin(t/2)|1> on a grid that includes both ends of each
-    # angle's range, so degenerate extremals are sampled exactly.
-    n = cfg.coarse_grid_per_angle
-    t, p = np.meshgrid(np.linspace(0, np.pi, n), np.linspace(0, 2 * np.pi, n), indexing="ij")
-    a = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=-1).reshape(-1, 2)
+    a = _qubit_grid(cfg.coarse_grid_per_angle)
     values = _sigma_max(_contract(g, a))
     evaluations = values.size
 
@@ -207,8 +221,9 @@ def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
 def _seeded_pool(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``_random_states(count, default_rng(seed))`` and its concurrences.
 
-    Drawn once per process: the pure-input searches of one gate share their
-    pool, and the arrays are read-only because every caller gets the same ones.
+    Drawn once per process: the unrestricted searches of every gate share
+    their pool, and the arrays are read-only because every caller gets the
+    same ones.
     """
     pool = _random_states(count, np.random.default_rng(seed))
     concurrence = _concurrence(pool)
@@ -265,13 +280,15 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     gains half of it on a quadratic).  The next ladder is centred on the
     accepted rung, the first on t = 1; when no rung passes, it lies wholly
     below the lowest rung.  A column stops once t|d|, for the next centre t
-    and its last direction d, is below ``tolerance`` squared, or after
-    ``refine_iterations`` steps; a column of zero gradient stops before any
-    step, so it comes back unchanged.  The search ends once the best value
-    among the stopped columns is at least every live column's value:
-    callers keep only the best column, and the live ones are left where
-    they are.  The values returned are those of one call on the returned
-    states.
+    and its last direction d, is below ``tolerance`` squared, once the gain
+    r.c predicted for its last Newton step is at most one ulp of its value
+    (the Newton-decrement stop: near a maximum the next step can gain only
+    round-off), or after ``refine_iterations`` steps; a column of zero
+    gradient stops before any step, so it comes back unchanged.  The search
+    ends once the best value among the stopped columns is at least every
+    live column's value: callers keep only the best column, and the live
+    ones are left where they are.  The values returned are those of one
+    call on the returned states.
 
     Every search refines through this one module global, which
     perfbench/tracing.py wraps to count refinements by ``nfev`` and ``fun``.
@@ -283,9 +300,11 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     work = np.stack([states, grad - states * _inner(states, grad)])
     value, cols = values, np.arange(m)
     step, length = np.ones(m), (_inner(work[1], work[1]).real > 0) * 1.0
-    evaluations, stopped_best = m, -np.inf
+    slope, evaluations, stopped_best = np.full(m, np.inf), m, -np.inf
     for _ in range(cfg.refine_iterations):
-        live = step * length >= cfg.tolerance ** 2
+        # A column stops once its step is short or its last Newton step was
+        # predicted to gain no more than round-off in its value.
+        live = (step * length >= cfg.tolerance ** 2) & (slope > np.spacing(np.abs(value)))
         if not live.all():
             # Live values only rise, so the search can end only when a column stops.
             stopped_best = max(stopped_best, value[~live].max())
@@ -375,19 +394,19 @@ def _gain_objective(u: np.ndarray, power: int):
     return value_and_gradient
 
 
-def _max_pure_input_gain(u: np.ndarray, power: int, cfg: SearchConfig, seeds=()):
-    """Maximize C(U psi)^power - C(psi)^power over two-qubit pure inputs psi.
+def _max_pure_input_gain(u: np.ndarray, cfg: SearchConfig):
+    """Maximize the tangle gain C(U psi)^2 - C(psi)^2 over two-qubit pure inputs psi.
 
     ``coarse_grid_per_angle`` cubed Haar-random inputs are scored by value
-    only; the given seed states and the best samples are refined together by
-    ``minimize``.  Returns the best state and the evaluation count.
+    only; the best ``restarts`` of them are refined together by ``minimize``.
+    Returns the best state and the evaluation count.
     """
     pool, pool_concurrence = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
-    values = _concurrence(u @ pool) ** power - pool_concurrence ** power
-    count = min(max(cfg.restarts - len(seeds), 1), values.size)
+    values = _concurrence(u @ pool) ** 2 - pool_concurrence ** 2
+    count = min(cfg.restarts, values.size)
     best = np.argpartition(values, -count)[-count:]
-    starts = np.column_stack([*seeds, pool[:, best[np.argsort(values[best])[::-1]]]])
-    refined = minimize(_gain_objective(u, power), starts, cfg)
+    starts = pool[:, best[np.argsort(values[best])[::-1]]]
+    refined = minimize(_gain_objective(u, 2), starts, cfg)
     return refined.states[:, np.argmax(refined.values)], pool.shape[1] + refined.nfev
 
 
@@ -398,11 +417,13 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     input gains more than the best product input does.  (In the magic basis
     the gain is at most max_k |w_k - omega| for any |omega| <= 1, w_k the
     eigenvalues of U_d^2, and half the widest spectral chord is
-    ``c_max_prod``.)  The maximum sits on the kink C(psi) = 0, which the
-    ascent alone approaches poorly, so the product search's maximizer is
-    refined alongside the best random inputs; the ascent leaves that seed,
-    on the kink, where it is, and the search ends once it is the best
-    start.  The value is recomputed from the returned state.  That product
+    ``c_max_prod``.)  That bound is proved, not searched: the maximum sits
+    on the kink C(psi) = 0, where an ascent from random inputs stalls short
+    of it.  So the value returned is the product maximiser's gain,
+    recomputed from the state: the product search's maximiser is refined
+    alone, as one column.  That one Newton probe into the entangled inputs
+    around it finds no ascent beyond round-off, and the kink rule of
+    ``minimize`` returns the state unchanged (17 evaluations).  The product
     search comes from the one-entry memo of ``max_concurrence_product``, so
     right after a product search on the same gate and config it costs
     nothing; ``evaluations`` counts it either way.  The memo's read-only
@@ -412,10 +433,11 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     if u.shape != (4, 4):
         raise ValueError("max_delta_concurrence expects a 4x4 unitary")
     prod_search = max_concurrence_product(u, cfg)
-    state, evaluations = _max_pure_input_gain(u, 1, cfg, seeds=(prod_search.argmax_state,))
+    refined = minimize(_gain_objective(u, 1), prod_search.argmax_state[:, None], cfg)
+    state = refined.states[:, 0]
     value = float(_concurrence(u @ state) - _concurrence(state))
     return SearchResult(value=min(value, 1.0), argmax_state=state,
-                        evaluations=evaluations + prod_search.evaluations)
+                        evaluations=refined.nfev + prod_search.evaluations)
 
 
 def max_concurrence_unrestricted(u: np.ndarray,
@@ -431,7 +453,7 @@ def max_concurrence_unrestricted(u: np.ndarray,
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_unrestricted expects a 4x4 unitary")
-    state, evaluations = _max_pure_input_gain(u, 2, cfg)
+    state, evaluations = _max_pure_input_gain(u, cfg)
     tangle_gain = float(_concurrence(u @ state) ** 2 - _concurrence(state) ** 2)
     return SearchResult(value=float(np.sqrt(min(max(tangle_gain, 0.0), 1.0))),
                         argmax_state=state, evaluations=evaluations)
