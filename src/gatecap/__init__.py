@@ -68,7 +68,6 @@ from .serialization import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    save_matrix,
 )
 
 __version__ = "0.1.0"
@@ -118,7 +117,6 @@ __all__ = [
     "mirror_negative_alpha_z",
     "random_pure_state",
     "relation1_signals",
-    "save_matrix",
     "unitarity_defect",
     "verify_relation1",
     "verify_relation2",

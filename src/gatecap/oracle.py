@@ -5,7 +5,7 @@ vectors, all restarts as the columns of one array.  The unrestricted search
 starts from the best of a coarse pool of inputs and the probe search from
 seeded random probes; the product search runs alternating Autonne-Takagi
 ascent over its two qubits from the best of a grid and then polishes its
-best first qubit, and the gain search refines that product maximiser alone.
+best first qubit, and the gain search returns that product maximiser's gain.
 The searches never call the closed forms or the spectral geometry they
 check; agreement between the routes is asserted in the test suite.
 """
@@ -29,9 +29,9 @@ class SearchConfig:
     scans an n x n (theta, phi) grid over its first qubit, the unrestricted
     search scores n^3 Haar-random inputs.  ``restarts`` is how many of the
     best pool points (for the probe search, seeded random probes) are
-    refined, all together; the gain search refines one start, the product
-    maximiser.  ``refine_iterations`` caps the steps of each sphere ascent
-    and the product search's alternating sweeps.
+    refined, all together; the gain search refines none, as it returns the
+    product maximiser.  ``refine_iterations`` caps the steps of each sphere
+    ascent and the product search's alternating sweeps.
     The product search's alternating sweeps end once the start of highest
     value gains at most ``tolerance`` in a sweep; ``tolerance`` squared is
     the length of a Newton step (for small steps, the angle moved) below
@@ -269,9 +269,6 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     A = -dr/dc comes from forward differences of the tangent-projected
     gradients at x + h b_k, in one more call.  The direction solves
     (A + a tiny ridge) c = r when r.c > 0, and is r / max|A| otherwise.
-    Where h|A - A^T| exceeds 1e-3 of the probes' gradients, the probes
-    straddle a kink of f, where Newton steps follow round-off amplified by
-    1 / h: that column goes back to its start and stops.
 
     Each iteration evaluates every live column at the ladder of steps
     t 2^k, k = -4..4, times its direction in one call, and takes the rung of
@@ -324,7 +321,6 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
         probes = x[:, None] + _PROBE * basis
         probe_grad = value_and_gradient(probes.reshape(n, -1))[1].reshape(probes.shape)
         evaluations += probes.shape[1] * cols.size
-        g_max = np.abs(probe_grad).max(axis=(0, 1))
         probe_grad = probe_grad - probes * (probes.conj() * probe_grad).sum(axis=0)
         # r at x (column 0) and at the probes, the columns' axis first.
         coords = np.einsum("njm,nkm->mjk", basis.conj(),
@@ -332,7 +328,6 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
         r = coords[:, :, 0]
         a = (r[:, :, None] - coords[:, :, 1:]) / _PROBE
         a_max = np.abs(a).max(axis=(1, 2))
-        kink = _PROBE * np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-3 * g_max
         ridge = (1e-12 * (a_max + np.abs(r).max(axis=1)))[:, None, None] * np.eye(len(r[0]))
         c = np.linalg.solve(a + ridge, r[:, :, None])[:, :, 0]
         c = np.where(((r * c).sum(axis=1) > 0)[:, None], c,
@@ -359,7 +354,6 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
         new[1] -= new[0] * _inner(new[0], new[1])
         work = np.where(ok, new, work)
         value = np.where(ok, trial_value[taken], value)
-        work[0][:, kink], value[kink], length[kink] = psi[:, cols[kink]], values[cols[kink]], 0
     states[:, cols] = work[0]
     if evaluations > states.shape[1]:
         # A value found within a ladder can differ in its last bit from the
@@ -370,44 +364,23 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     return Refinement(states=states, values=values, fun=-float(np.max(values)), nfev=evaluations)
 
 
-def _gain_objective(u: np.ndarray, power: int):
-    """Values C(U psi)^power - C(psi)^power of unit inputs, with their gradients.
+def _tangle_gain_objective(u: np.ndarray):
+    """Values C(U psi)^2 - C(psi)^2 of unit inputs, with their Wirtinger gradients.
 
     C(U psi) = |psi^T G psi| with G = U^T (sy (x) sy) U, and C(psi) the same
     with G = sy (x) sy.  For z = psi^T G psi the Wirtinger gradient of |z|^2
-    is 2 z conj(G psi), and that of |z| (power 1) is (z / |z|) conj(G psi),
-    taking z / |z| as 0 at z = 0.
+    is 2 z conj(G psi).
     """
     forms = np.stack([u.T @ SIGMA_YY @ u, SIGMA_YY])
 
     def value_and_gradient(psi):
         forms_psi = forms @ psi
         z = np.sum(psi * forms_psi, axis=1)
-        if power == 2:
-            terms, weights = z.real ** 2 + z.imag ** 2, 2 * z
-        else:
-            terms = np.abs(z)
-            weights = np.divide(z, terms, out=np.zeros_like(z), where=terms > 0)
-        gradients = weights[:, None] * forms_psi.conj()
+        terms = z.real ** 2 + z.imag ** 2
+        gradients = 2 * z[:, None] * forms_psi.conj()
         return terms[0] - terms[1], gradients[0] - gradients[1]
 
     return value_and_gradient
-
-
-def _max_pure_input_gain(u: np.ndarray, cfg: SearchConfig):
-    """Maximize the tangle gain C(U psi)^2 - C(psi)^2 over two-qubit pure inputs psi.
-
-    ``coarse_grid_per_angle`` cubed Haar-random inputs are scored by value
-    only; the best ``restarts`` of them are refined together by ``minimize``.
-    Returns the best state and the evaluation count.
-    """
-    pool, pool_concurrence = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
-    values = _concurrence(u @ pool) ** 2 - pool_concurrence ** 2
-    count = min(cfg.restarts, values.size)
-    best = np.argpartition(values, -count)[-count:]
-    starts = pool[:, best[np.argsort(values[best])[::-1]]]
-    refined = minimize(_gain_objective(u, 2), starts, cfg)
-    return refined.states[:, np.argmax(refined.values)], pool.shape[1] + refined.nfev
 
 
 def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -417,27 +390,22 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     input gains more than the best product input does.  (In the magic basis
     the gain is at most max_k |w_k - omega| for any |omega| <= 1, w_k the
     eigenvalues of U_d^2, and half the widest spectral chord is
-    ``c_max_prod``.)  That bound is proved, not searched: the maximum sits
-    on the kink C(psi) = 0, where an ascent from random inputs stalls short
-    of it.  So the value returned is the product maximiser's gain,
-    recomputed from the state: the product search's maximiser is refined
-    alone, as one column.  That one Newton probe into the entangled inputs
-    around it finds no ascent beyond round-off, and the kink rule of
-    ``minimize`` returns the state unchanged (17 evaluations).  The product
-    search comes from the one-entry memo of ``max_concurrence_product``, so
-    right after a product search on the same gate and config it costs
-    nothing; ``evaluations`` counts it either way.  The memo's read-only
-    state only seeds the ascent: the state returned here is a fresh array.
+    ``c_max_prod``.)  That bound is proved, not searched, so this is not an
+    independent search: it returns the product search's maximiser, with its
+    gain C(U psi) - C(psi) recomputed from the state and clipped to [0, 1],
+    and the product search's ``evaluations``.  The product search comes
+    from the one-entry memo of ``max_concurrence_product``, so right after
+    a product search on the same gate and config it costs nothing, and the
+    state returned is the memo's read-only array.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_delta_concurrence expects a 4x4 unitary")
     prod_search = max_concurrence_product(u, cfg)
-    refined = minimize(_gain_objective(u, 1), prod_search.argmax_state[:, None], cfg)
-    state = refined.states[:, 0]
+    state = prod_search.argmax_state
     value = float(_concurrence(u @ state) - _concurrence(state))
-    return SearchResult(value=min(value, 1.0), argmax_state=state,
-                        evaluations=refined.nfev + prod_search.evaluations)
+    return SearchResult(value=min(max(value, 0.0), 1.0), argmax_state=state,
+                        evaluations=prod_search.evaluations)
 
 
 def max_concurrence_unrestricted(u: np.ndarray,
@@ -446,17 +414,24 @@ def max_concurrence_unrestricted(u: np.ndarray,
 
     The maximum runs over all two-qubit pure inputs, entangled ones
     included; this is the quantity the closed-form ``c_max`` stands for.
-    The best of ``coarse_grid_per_angle`` cubed random inputs are refined by
-    sphere ascent with no other seed, and the value is recomputed from the
+    ``coarse_grid_per_angle`` cubed Haar-random inputs are scored by value
+    only, the best ``restarts`` of them are refined together by sphere
+    ascent with no other seed, and the value is recomputed from the best
     returned state.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_unrestricted expects a 4x4 unitary")
-    state, evaluations = _max_pure_input_gain(u, cfg)
+    pool, pool_concurrence = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
+    values = _concurrence(u @ pool) ** 2 - pool_concurrence ** 2
+    count = min(cfg.restarts, values.size)
+    best = np.argpartition(values, -count)[-count:]
+    starts = pool[:, best[np.argsort(values[best])[::-1]]]
+    refined = minimize(_tangle_gain_objective(u), starts, cfg)
+    state = refined.states[:, np.argmax(refined.values)]
     tangle_gain = float(_concurrence(u @ state) ** 2 - _concurrence(state) ** 2)
     return SearchResult(value=float(np.sqrt(min(max(tangle_gain, 0.0), 1.0))),
-                        argmax_state=state, evaluations=evaluations)
+                        argmax_state=state, evaluations=pool.shape[1] + refined.nfev)
 
 
 def _probe_objective(v: np.ndarray):

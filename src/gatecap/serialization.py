@@ -62,9 +62,3 @@ def load_matrix(path: str) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
     return matrix_from_json(obj)
-
-
-def save_matrix(path: str, m: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(m), fh)
-        fh.write("\n")

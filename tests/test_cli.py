@@ -15,7 +15,7 @@ from gatecap.cli import main
 from gatecap.distinguishability import hull_min_distance, verify_theorem
 from gatecap.entanglement import capacities_closed_form
 from gatecap.linalg import eig_unitary, haar_random_unitary, kron
-from gatecap.serialization import matrix_to_json, save_matrix
+from gatecap.serialization import matrix_to_json
 
 PI_4 = np.pi / 4
 
@@ -24,7 +24,8 @@ PI_4 = np.pi / 4
 def write_matrix(tmp_path):
     def _write(u, name="m.json"):
         path = str(tmp_path / name)
-        save_matrix(path, u)
+        with open(path, "w") as fh:
+            json.dump(matrix_to_json(u), fh)
         return path
     return _write
 
