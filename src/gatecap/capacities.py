@@ -103,7 +103,7 @@ def relation1_signals(d, psi_a, psi_b) -> SignalPair:
     return SignalPair(psi1=psi1, psi2=psi2, overlap=overlap)
 
 
-def verify_relation1(d, cfg: SearchConfig = SearchConfig()) -> CapacityRelationReport:
+def verify_relation1(d) -> CapacityRelationReport:
     """Check E_max^prod + C_1 = 1 with both terms at the same extremal pair.
 
     The first-order capacity term is evaluated at the concurrence-maximizing
@@ -113,7 +113,7 @@ def verify_relation1(d, cfg: SearchConfig = SearchConfig()) -> CapacityRelationR
     """
     d = _as_triple(d)
     u_d = canonical_unitary(d)
-    search = max_concurrence_product(u_d, cfg)
+    search = max_concurrence_product(u_d)
     state = search.argmax_state
     # Split the product maximizer back into qubit factors: the reshaped
     # amplitude matrix of a product state is rank one.

@@ -79,10 +79,6 @@ def _load_unitary(path: str) -> np.ndarray:
     return check_unitary(u)
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(seed=args.seed)
-
-
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
     u = _load_unitary(args.matrix)
@@ -95,7 +91,7 @@ def cmd_analyze(args) -> int:
     }
     if args.numeric:
         u_d = canonical_unitary(form.d)
-        d_min["numeric"] = min_probe_overlap(u_d @ u_d, _search_config(args)).value
+        d_min["numeric"] = min_probe_overlap(u_d @ u_d, SearchConfig(args.seed)).value
     report = {
         "input_sha256": _input_hash(u),
         "d": [float(v) for v in form.d],
@@ -175,9 +171,8 @@ def cmd_capacities(args) -> int:
     else:
         d = cartan_decompose(_load_unitary(args.matrix)).d
     caps = capacities_closed_form(d)
-    cfg = _search_config(args)
-    rel1 = verify_relation1(d, cfg)
-    rel2 = verify_relation2(d, cfg)
+    rel1 = verify_relation1(d)
+    rel2 = verify_relation2(d, SearchConfig(args.seed))
     report = {
         "d": [float(v) for v in d],
         "capacities": caps.to_json(),
@@ -211,7 +206,7 @@ def _makhlin_invariants(u: np.ndarray) -> np.ndarray:
     return np.array([tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)])
 
 
-def _verify_residual(u: np.ndarray, form, route: str, cfg: SearchConfig) -> float:
+def _verify_residual(u: np.ndarray, form, route: str) -> float:
     if route == "closed":
         return verify_theorem(form.d).residual
     if route == "geometric":
@@ -226,7 +221,7 @@ def _verify_residual(u: np.ndarray, form, route: str, cfg: SearchConfig) -> floa
         drift = _makhlin_invariants(u) - _makhlin_invariants(canonical_unitary(form.d))
         return max(identity, float(np.max(np.abs(drift))))
     if route == "numeric":
-        oracle = max_concurrence_product(u, cfg).value
+        oracle = max_concurrence_product(u).value
         return abs(oracle - capacities_closed_form(form.d).c_max_prod)
     raise MalformedInputError(f"unknown route {route!r}")
 
@@ -237,12 +232,13 @@ def cmd_verify(args) -> int:
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise MalformedInputError("--tol must be a finite non-negative number")
     routes = [r.strip() for r in args.routes.split(",") if r.strip()]
+    if not routes or len(set(routes)) < len(routes):
+        raise MalformedInputError(f"--routes must name each route once, got {args.routes!r}")
     for route in routes:
         if route not in ("closed", "geometric", "numeric"):
             raise MalformedInputError(f"unknown route {route!r}; "
                                       "expected closed, geometric or numeric")
     rng = np.random.default_rng(args.seed)
-    cfg = _search_config(args)
     residuals = {route: [] for route in routes}
     rows = []
     inputs = []
@@ -251,7 +247,7 @@ def cmd_verify(args) -> int:
         inputs.append(u)
         form = cartan_decompose(u)
         for route in routes:
-            r = _verify_residual(u, form, route, cfg)
+            r = _verify_residual(u, form, route)
             residuals[route].append(r)
             rows.append((trial, route, r))
     if args.out:

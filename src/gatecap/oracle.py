@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,8 +24,10 @@ from .linalg import SIGMA_YY, check_unitary
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search parameters shared by all oracle operations.
+    """The searches' one setting, ``seed``, and their fixed constants.
 
+    ``seed`` seeds the random pool and probes; it must be a non-negative
+    integer, and anything else raises ValueError.
     ``coarse_grid_per_angle`` (n) sizes the coarse pool: the product search
     scans an n x n (theta, phi) grid over its first qubit, the unrestricted
     search scores n^3 Haar-random inputs.  ``restarts`` is how many of the
@@ -38,25 +41,18 @@ class SearchConfig:
     which a sphere ascent stops a start.  A start also stops once its last
     Newton step was predicted to gain at most one ulp of its value, and the
     ascent ends once no live start is above the best stopped one.
-    ``seed`` seeds the random pool and probes.  The three counts must be
-    positive integers, the seed an integer and the tolerance positive and
-    finite; anything else raises ValueError.
     """
 
-    coarse_grid_per_angle: int = 24
-    restarts: int = 32
-    refine_iterations: int = 200
-    tolerance: float = 1e-6
+    coarse_grid_per_angle: ClassVar[int] = 24
+    restarts: ClassVar[int] = 32
+    refine_iterations: ClassVar[int] = 200
+    tolerance: ClassVar[float] = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.coarse_grid_per_angle, self.restarts, self.refine_iterations)
-        if not all(isinstance(c, numbers.Integral) and c > 0 for c in counts):
-            raise ValueError("grid size, restarts and refine iterations must be positive integers")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError("seed must be an integer")
-        if not (isinstance(self.tolerance, numbers.Real) and 0 < self.tolerance < np.inf):
-            raise ValueError("tolerance must be positive and finite")
+        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ def _product_objective(g: np.ndarray, g_swapped: np.ndarray):
     return value_and_gradient
 
 
-def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
+def max_concurrence_product(u: np.ndarray) -> SearchResult:
     """Maximum output concurrence of U over product input states.
 
     With G = U^T (sy (x) sy) U as a (2, 2, 2, 2) array, the output
@@ -152,25 +148,26 @@ def max_concurrence_product(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -
     a (x) b.  The other starts are left where they are, as only the best is
     polished.  Each evaluation is one 2x2 singular value.
 
-    The last search is memoised, keyed by the matrix's entries and the
-    config: asked again for the same gate, as the gain search does right
-    after, it returns the same result, ``evaluations`` included, without
-    searching.  Its ``argmax_state`` is therefore read-only.
+    The search reads no seed.  The last one is memoised, keyed by the
+    matrix's entries: asked again for the same gate, as the gain search does
+    right after, it returns the same result, ``evaluations`` included,
+    without searching.  Its ``argmax_state`` is therefore read-only.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_product expects a 4x4 unitary")
-    return _product_search(u.tobytes(), cfg)
+    return _product_search(u.tobytes())
 
 
-@functools.lru_cache(maxsize=4)
-def _qubit_grid(n: int) -> np.ndarray:
+@functools.cache
+def _qubit_grid() -> np.ndarray:
     """The (n^2, 2) first qubits cos(t/2)|0> + e^{ip} sin(t/2)|1> of the product search.
 
-    The (t, p) grid includes both ends of each angle's range, so degenerate
-    extremals are sampled exactly.  Built once per n, and read-only because
-    every search gets the same array.
+    n is ``coarse_grid_per_angle``.  The (t, p) grid includes both ends of
+    each angle's range, so degenerate extremals are sampled exactly.  Built
+    on first use, and read-only because every search gets the same array.
     """
+    n = SearchConfig.coarse_grid_per_angle
     t, p = np.meshgrid(np.linspace(0, np.pi, n), np.linspace(0, 2 * np.pi, n), indexing="ij")
     grid = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=-1).reshape(-1, 2)
     grid.flags.writeable = False
@@ -178,31 +175,31 @@ def _qubit_grid(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _product_search(entries: bytes, cfg: SearchConfig) -> SearchResult:
+def _product_search(entries: bytes) -> SearchResult:
     """The search of ``max_concurrence_product`` on a checked 4x4 unitary's C-order bytes."""
     u = np.frombuffer(entries, dtype=complex).reshape(4, 4)
     g = (u.T @ SIGMA_YY @ u).reshape(2, 2, 2, 2)
     g_swapped = g.transpose(1, 0, 3, 2)  # the same form with the qubits' roles exchanged
 
-    a = _qubit_grid(cfg.coarse_grid_per_angle)
+    a = _qubit_grid()
     values = _sigma_max(_contract(g, a))
     evaluations = values.size
 
-    order = np.argsort(values)[::-1][:cfg.restarts]
+    order = np.argsort(values)[::-1][:SearchConfig.restarts]
     a, values = a[order], values[order]
     # The polish below climbs to a tangent step of tolerance squared, so the
     # sweeps only need to bring the best start near the top, and they end once
     # that start gains no more than tolerance: only it is polished.
-    for _ in range(cfg.refine_iterations):
+    for _ in range(SearchConfig.refine_iterations):
         b, _ = _takagi_top(_contract(g, a))
         a, improved = _takagi_top(_contract(g_swapped, b))
         evaluations += 2 * a.shape[0]
         best = np.argmax(improved)
-        if improved[best] - values[best] <= cfg.tolerance:
+        if improved[best] - values[best] <= SearchConfig.tolerance:
             break
         values = improved
 
-    polish = minimize(_product_objective(g, g_swapped), a[[best]].T, cfg)
+    polish = minimize(_product_objective(g, g_swapped), a[[best]].T)
     a = polish.states[:, 0]
     b, _ = _takagi_top(_contract(g, a))
     state = np.kron(a, b)
@@ -218,14 +215,14 @@ def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _seeded_pool(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_random_states(count, default_rng(seed))`` and its concurrences.
+def _seeded_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``coarse_grid_per_angle`` cubed random states from seed, and their concurrences.
 
-    Drawn once per process: the unrestricted searches of every gate share
+    Drawn once per seed: the unrestricted searches of every gate share
     their pool, and the arrays are read-only because every caller gets the
     same ones.
     """
-    pool = _random_states(count, np.random.default_rng(seed))
+    pool = _random_states(SearchConfig.coarse_grid_per_angle ** 3, np.random.default_rng(seed))
     concurrence = _concurrence(pool)
     pool.flags.writeable = concurrence.flags.writeable = False
     return pool, concurrence
@@ -256,7 +253,7 @@ class Refinement:
     nfev: int
 
 
-def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refinement:
+def minimize(value_and_gradient, psi: np.ndarray) -> Refinement:
     """Riemannian Newton ascent from every column of ``psi`` at once.
 
     ``value_and_gradient`` maps unit vectors, the columns of an (n, m) array,
@@ -298,10 +295,10 @@ def minimize(value_and_gradient, psi: np.ndarray, cfg: SearchConfig) -> Refineme
     value, cols = values, np.arange(m)
     step, length = np.ones(m), (_inner(work[1], work[1]).real > 0) * 1.0
     slope, evaluations, stopped_best = np.full(m, np.inf), m, -np.inf
-    for _ in range(cfg.refine_iterations):
+    for _ in range(SearchConfig.refine_iterations):
         # A column stops once its step is short or its last Newton step was
         # predicted to gain no more than round-off in its value.
-        live = (step * length >= cfg.tolerance ** 2) & (slope > np.spacing(np.abs(value)))
+        live = (step * length >= SearchConfig.tolerance ** 2) & (slope > np.spacing(np.abs(value)))
         if not live.all():
             # Live values only rise, so the search can end only when a column stops.
             stopped_best = max(stopped_best, value[~live].max())
@@ -383,7 +380,7 @@ def _tangle_gain_objective(u: np.ndarray):
     return value_and_gradient
 
 
-def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> SearchResult:
+def max_delta_concurrence(u: np.ndarray) -> SearchResult:
     """Maximum concurrence gain C(U psi) - C(psi) over all two-qubit pure inputs.
 
     The maximum equals the product capacity ``c_max_prod``: no entangled
@@ -395,13 +392,13 @@ def max_delta_concurrence(u: np.ndarray, cfg: SearchConfig = SearchConfig()) -> 
     gain C(U psi) - C(psi) recomputed from the state and clipped to [0, 1],
     and the product search's ``evaluations``.  The product search comes
     from the one-entry memo of ``max_concurrence_product``, so right after
-    a product search on the same gate and config it costs nothing, and the
+    a product search on the same gate it costs nothing, and the
     state returned is the memo's read-only array.
     """
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_delta_concurrence expects a 4x4 unitary")
-    prod_search = max_concurrence_product(u, cfg)
+    prod_search = max_concurrence_product(u)
     state = prod_search.argmax_state
     value = float(_concurrence(u @ state) - _concurrence(state))
     return SearchResult(value=min(max(value, 0.0), 1.0), argmax_state=state,
@@ -422,12 +419,11 @@ def max_concurrence_unrestricted(u: np.ndarray,
     u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError("max_concurrence_unrestricted expects a 4x4 unitary")
-    pool, pool_concurrence = _seeded_pool(cfg.coarse_grid_per_angle ** 3, cfg.seed)
+    pool, pool_concurrence = _seeded_pool(cfg.seed)
     values = _concurrence(u @ pool) ** 2 - pool_concurrence ** 2
-    count = min(cfg.restarts, values.size)
-    best = np.argpartition(values, -count)[-count:]
+    best = np.argpartition(values, -SearchConfig.restarts)[-SearchConfig.restarts:]
     starts = pool[:, best[np.argsort(values[best])[::-1]]]
-    refined = minimize(_tangle_gain_objective(u), starts, cfg)
+    refined = minimize(_tangle_gain_objective(u), starts)
     state = refined.states[:, np.argmax(refined.values)]
     tangle_gain = float(_concurrence(u @ state) ** 2 - _concurrence(state) ** 2)
     return SearchResult(value=float(np.sqrt(min(max(tangle_gain, 0.0), 1.0))),
@@ -457,8 +453,8 @@ def min_probe_overlap(v: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Sear
     v = check_unitary(v)
     if v.shape != (4, 4):
         raise ValueError("min_probe_overlap expects a 4x4 unitary")
-    probes = _random_states(cfg.restarts, np.random.default_rng(cfg.seed))
-    refined = minimize(_probe_objective(v), probes, cfg)
+    probes = _random_states(SearchConfig.restarts, np.random.default_rng(cfg.seed))
+    refined = minimize(_probe_objective(v), probes)
     best = refined.states[:, np.argmax(refined.values)]
     return SearchResult(value=float(abs(np.vdot(best, v @ best))), argmax_state=best,
                         evaluations=refined.nfev)

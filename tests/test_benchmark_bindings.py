@@ -1,8 +1,9 @@
 """The names the benchmark's tracer binds must exist in gatecap.
 
 perfbench/tracing.py wraps each (module, function) of its LAYERS and
-gatecap.oracle.minimize; a traced run fails if one of them is renamed or
-deleted.  The tracer is only read here, never installed.
+gatecap.oracle.minimize, and perfbench/run.py reads SearchConfig().tolerance;
+a traced run fails if one of them is renamed or deleted.  The tracer is
+only read here, never installed.
 """
 
 import importlib
@@ -10,6 +11,8 @@ import importlib.util
 import os
 
 import pytest
+
+import gatecap
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -25,3 +28,9 @@ def _layers():
 @pytest.mark.parametrize("module, name", _layers() + (("oracle", "minimize"),))
 def test_traced_name_resolves(module, name):
     assert callable(getattr(importlib.import_module("gatecap." + module), name))
+
+
+def test_search_tolerance_resolves():
+    # perfbench/run.py reads gatecap.SearchConfig().tolerance in every traced run.
+    tolerance = gatecap.SearchConfig().tolerance
+    assert isinstance(tolerance, float) and 0 < tolerance < float("inf")

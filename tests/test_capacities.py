@@ -13,10 +13,8 @@ from gatecap.capacities import (
 )
 from gatecap.entanglement import concurrence
 from gatecap.linalg import random_pure_state
-from gatecap.oracle import SearchConfig
 
 PI_4 = np.pi / 4
-FAST = SearchConfig(coarse_grid_per_angle=10, restarts=8)
 
 
 def test_c1_endpoints():
@@ -74,15 +72,15 @@ def test_relation1_identity_triple():
 
 
 def test_relation1_residuals():
-    assert verify_relation1([0, 0, 0], FAST).relation_residual <= 1e-9
-    assert verify_relation1([np.pi / 8, 0, 0], FAST).relation_residual <= 1e-3
-    assert verify_relation1([PI_4, 0, 0], FAST).relation_residual <= 1e-3
+    assert verify_relation1([0, 0, 0]).relation_residual <= 1e-9
+    assert verify_relation1([np.pi / 8, 0, 0]).relation_residual <= 1e-3
+    assert verify_relation1([PI_4, 0, 0]).relation_residual <= 1e-3
 
 
 def test_relation2_residuals():
-    assert verify_relation2([0, 0, 0], FAST).relation_residual <= 1e-9
-    assert verify_relation2([np.pi / 8, 0, 0], FAST).relation_residual <= 1e-3
-    assert verify_relation2([PI_4, 0, 0], FAST).relation_residual <= 1e-3
+    assert verify_relation2([0, 0, 0]).relation_residual <= 1e-9
+    assert verify_relation2([np.pi / 8, 0, 0]).relation_residual <= 1e-3
+    assert verify_relation2([PI_4, 0, 0]).relation_residual <= 1e-3
 
 
 def test_relation2_random_triples():
@@ -90,4 +88,4 @@ def test_relation2_random_triples():
     for _ in range(5):
         ax, ay = np.sort(rng.uniform(0, PI_4, 2))[::-1]
         d = np.array([ax, ay, rng.uniform(-ay, ay)])
-        assert verify_relation2(d, FAST).relation_residual <= 1e-3
+        assert verify_relation2(d).relation_residual <= 1e-3

@@ -248,6 +248,16 @@ def test_verify_unknown_route(capsys):
     assert main(["verify", "--trials", "1", "--routes", "sideways"]) == 2
 
 
+@pytest.mark.parametrize("routes", ["", ",", " , ", "closed,closed", "closed, geometric,closed"])
+def test_verify_rejects_empty_or_repeated_routes(routes, tmp_path, capsys):
+    # An empty list would check nothing and pass; a repeated route would
+    # print twice and double its rows in the CSV.
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--trials", "1", "--routes", routes, "--out", str(out)]) == 2
+    assert "malformed-input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_csv_output(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["verify", "--trials", "3", "--routes", "closed",

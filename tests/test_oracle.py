@@ -1,5 +1,6 @@
 """Tests for the brute-force search oracles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -26,18 +27,20 @@ from gatecap.oracle import (
 )
 
 PI_4 = np.pi / 4
-FAST = SearchConfig(coarse_grid_per_angle=10, restarts=8)
 
 
-def test_config_validation():
-    # A non-finite tolerance would skip every refinement; a fractional count
-    # would fail later, inside the searches.
-    for field, value in [("restarts", 0), ("tolerance", -1.0), ("tolerance", float("nan")),
-                         ("tolerance", float("inf")), ("restarts", 2.5),
-                         ("coarse_grid_per_angle", 24.0), ("refine_iterations", 1e3),
-                         ("seed", 0.5)]:
+def test_search_config_takes_only_a_seed():
+    # A negative seed would fail later, inside numpy; a boolean is no seed.
+    for seed in (-1, True, 0.5):
         with pytest.raises(ValueError):
-            SearchConfig(**{field: value})
+            SearchConfig(seed=seed)
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["seed"]
+    fixed = {"coarse_grid_per_angle": 24, "restarts": 32, "refine_iterations": 200,
+             "tolerance": 1e-6}
+    for name, value in fixed.items():
+        with pytest.raises(TypeError):
+            SearchConfig(**{name: value})
+        assert getattr(SearchConfig(seed=3), name) == value
 
 
 @pytest.mark.parametrize("search", [max_concurrence_product, max_concurrence_unrestricted,
@@ -71,7 +74,7 @@ OBJECTIVES = ["product", "tangle gain", "probe"]
 def test_ascend_never_lowers_a_start(objective):
     u = haar_random_unitary(4, np.random.default_rng(401))
     value_and_gradient, starts = _objective(objective, u)
-    refined = minimize(value_and_gradient, starts, SearchConfig())
+    refined = minimize(value_and_gradient, starts)
     values = refined.values
     assert np.all(values >= value_and_gradient(starts)[0])
     assert np.array_equal(values, value_and_gradient(refined.states)[0])
@@ -95,7 +98,7 @@ def test_objective_gradients_match_finite_differences(objective):
     assert np.max(np.abs(slope - 2 * np.real(np.sum(grad.conj() * v, axis=0)))) <= 1e-7
 
 
-def _reference_minimize(value_and_gradient, psi, cfg):
+def _reference_minimize(value_and_gradient, psi):
     """The Newton ascent of ``minimize`` one column at a time and without its
     early end, with a QR basis of each tangent space, a dense forward-difference
     Hessian and every projection written out: the final values and the
@@ -110,8 +113,8 @@ def _reference_minimize(value_and_gradient, psi, cfg):
         value, grad = (out[..., 0] for out in value_and_gradient(x[:, None]))
         step, length = 1.0, float(np.any(grad - x * np.vdot(x, grad)))
         slope = np.inf
-        for _ in range(cfg.refine_iterations):
-            if step * length < cfg.tolerance ** 2 or slope <= np.spacing(abs(value)):
+        for _ in range(SearchConfig.refine_iterations):
+            if step * length < SearchConfig.tolerance ** 2 or slope <= np.spacing(abs(value)):
                 break
             # An orthonormal basis of the vectors orthogonal to x, and i times it:
             # the real directions orthogonal to x and i x.
@@ -156,14 +159,12 @@ def test_minimize_climbs_as_the_explicit_reference(objective):
     # minimize builds a Householder basis and batches the Hessian's projections;
     # a slip in those still climbs, but more slowly, so the best values and
     # the evaluation count are both held to the explicit form.
-    cfg = SearchConfig()
     nfev = reference_nfev = 0
     for seed in (401, 404):
         u = haar_random_unitary(4, np.random.default_rng(seed))
         value_and_gradient, starts = _objective(objective, u)
-        refined = minimize(value_and_gradient, starts, cfg)
-        reference_values, reference_evaluations = _reference_minimize(
-            value_and_gradient, starts, cfg)
+        refined = minimize(value_and_gradient, starts)
+        reference_values, reference_evaluations = _reference_minimize(value_and_gradient, starts)
         assert abs(np.max(refined.values) - np.max(reference_values)) <= 1e-12, seed
         assert np.all(refined.values >= value_and_gradient(starts)[0]), seed
         nfev += refined.nfev
@@ -186,26 +187,25 @@ def test_every_search_refines_through_minimize(monkeypatch):
                                 (max_delta_concurrence, 1), (min_probe_overlap, 1)):
         oracle._product_search.cache_clear()  # every search cold
         calls.clear()
-        result = search(u, FAST)
+        result = search(u)
         assert len(calls) == refinements, search.__name__
         assert sum(c.nfev for c in calls) <= result.evaluations
         assert all(c.fun == -np.max(c.values) for c in calls)
     # Right after a product search on the same gate, the gain search takes
     # the product search from the memo and refines nothing.
-    max_concurrence_product(u, FAST)
+    max_concurrence_product(u)
     calls.clear()
-    max_delta_concurrence(u, FAST)
+    max_delta_concurrence(u)
     assert not calls
 
 
 def test_ascend_zero_gradient_column_is_unchanged():
-    cfg = SearchConfig()
     starts = _random_states(8, np.random.default_rng(403))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # For U = I the output and input tangles cancel exactly, so every
         # gradient vanishes and no step is taken.
-        refined = minimize(_tangle_gain_objective(np.eye(4)), starts, cfg)
+        refined = minimize(_tangle_gain_objective(np.eye(4)), starts)
         assert np.array_equal(refined.states, starts)
         assert np.all(refined.values == 0)
         assert refined.nfev == starts.shape[1]
@@ -216,7 +216,7 @@ def test_ascend_zero_gradient_column_is_unchanged():
             return np.abs(psi[0]) ** 2, psi[0] * (np.arange(4) == 0)[:, None]
 
         flat = np.eye(4, dtype=complex)[:, 1:]
-        states = minimize(value_and_gradient, np.column_stack([flat, starts]), cfg).states
+        states = minimize(value_and_gradient, np.column_stack([flat, starts])).states
     assert np.array_equal(states[:, :3], flat)
     assert np.min(np.abs(states[0, 3:])) >= 1 - 1e-6
 
@@ -229,7 +229,7 @@ def test_minimize_drops_columns_below_a_stopped_best():
 
     starts = np.column_stack([np.eye(4, dtype=complex)[:, 1:],
                               _random_states(8, np.random.default_rng(403))])
-    refined = minimize(value_and_gradient, starts, SearchConfig())
+    refined = minimize(value_and_gradient, starts)
     assert np.array_equal(refined.states, starts)
     assert refined.nfev == 11
 
@@ -247,7 +247,7 @@ def test_minimize_converges_quadratically_on_a_rayleigh_quotient():
         a_psi = a @ psi
         return (psi.conj() * a_psi).sum(axis=0).real, a_psi
 
-    refined = minimize(value_and_gradient, _random_states(8, rng), SearchConfig())
+    refined = minimize(value_and_gradient, _random_states(8, rng))
     assert abs(-refined.fun - np.linalg.eigvalsh(a)[-1]) <= 1e-14
     assert len(calls) <= 16
 
@@ -268,7 +268,7 @@ def test_minimize_stops_once_a_newton_step_gains_only_round_off():
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     for _ in range(4):
         start = eigenvectors[:, -1:] + 1e-4 * _random_states(1, rng)
-        refined = minimize(value_and_gradient, start / np.linalg.norm(start), SearchConfig())
+        refined = minimize(value_and_gradient, start / np.linalg.norm(start))
         assert refined.nfev <= 1 + 2 * (6 + 9) + 1
         # The quotient's own round-off: at eigh's top eigenvector it reads
         # 5 ulps above eigh's eigenvalue.
@@ -282,13 +282,13 @@ def test_ascend_climbs_a_nearly_flat_objective():
         return 1 + 1e-8 * np.abs(psi[0]) ** 2, 1e-8 * psi[0] * (np.arange(2) == 0)[:, None]
 
     start = _random_states(1, np.random.default_rng(408))[:2]
-    refined = minimize(value_and_gradient, start / np.linalg.norm(start), SearchConfig())
+    refined = minimize(value_and_gradient, start / np.linalg.norm(start))
     assert np.abs(refined.states[0, 0]) ** 2 >= 1 - 1e-6
 
 
 def test_seeded_pool_is_drawn_once_and_read_only():
-    pool, pool_concurrence = oracle._seeded_pool(SearchConfig().coarse_grid_per_angle ** 3, 0)
-    assert pool is oracle._seeded_pool(13824, 0)[0]
+    pool, pool_concurrence = oracle._seeded_pool(0)
+    assert pool is oracle._seeded_pool(0)[0]
     assert np.array_equal(pool, _random_states(13824, np.random.default_rng(0)))
     assert np.array_equal(pool_concurrence, _concurrence(pool))
     for array in (pool, pool_concurrence):
@@ -297,8 +297,8 @@ def test_seeded_pool_is_drawn_once_and_read_only():
 
 
 def test_qubit_grid_is_built_once_and_read_only():
-    grid = oracle._qubit_grid(SearchConfig().coarse_grid_per_angle)
-    assert grid is oracle._qubit_grid(24)
+    grid = oracle._qubit_grid()
+    assert grid is oracle._qubit_grid()
     assert grid.shape == (24 * 24, 2)
     assert np.allclose(np.linalg.norm(grid, axis=1), 1.0, atol=1e-15)
     with pytest.raises(ValueError):
@@ -308,13 +308,13 @@ def test_qubit_grid_is_built_once_and_read_only():
 def test_product_memo_hit_equals_a_cold_search():
     u = haar_random_unitary(4, np.random.default_rng(410))
     oracle._product_search.cache_clear()
-    cold = max_concurrence_product(u, FAST)
+    cold = max_concurrence_product(u)
     for again in (u, np.asfortranarray(u)):
-        hit = max_concurrence_product(again, FAST)
+        hit = max_concurrence_product(again)
         assert hit is cold
     assert oracle._product_search.cache_info().hits == 2
     oracle._product_search.cache_clear()
-    fresh = max_concurrence_product(u, FAST)
+    fresh = max_concurrence_product(u)
     assert fresh is not cold
     assert fresh.value == cold.value and fresh.evaluations == cold.evaluations
     assert fresh.argmax_state.tobytes() == cold.argmax_state.tobytes()
@@ -322,26 +322,26 @@ def test_product_memo_hit_equals_a_cold_search():
         cold.argmax_state[0] = 0
 
 
-def test_product_memo_keys_on_matrix_and_config():
+def test_product_memo_keys_on_the_matrix_alone():
     rng = np.random.default_rng(411)
     u, v = haar_random_unitary(4, rng), haar_random_unitary(4, rng)
     oracle._product_search.cache_clear()
-    first = max_concurrence_product(u, FAST)
-    other_cfg = SearchConfig(coarse_grid_per_angle=10, restarts=8, seed=1)
-    assert max_concurrence_product(u, other_cfg) is not first
-    assert max_concurrence_product(u, FAST) is not first
-    other_gate = max_concurrence_product(v, FAST)
+    first = max_concurrence_product(u)
+    assert max_concurrence_product(u.copy()) is first
+    assert oracle._product_search.cache_info().hits == 1
+    other_gate = max_concurrence_product(v)
     caps = capacities_closed_form(cartan_decompose(v).d)
     assert abs(other_gate.value - caps.c_max_prod) <= 1e-9
-    assert oracle._product_search.cache_info().hits == 0
+    assert max_concurrence_product(u) is not first
+    assert oracle._product_search.cache_info().hits == 1
 
 
 def test_product_memo_still_checks_every_input():
     u = haar_random_unitary(4, np.random.default_rng(412))
-    max_concurrence_product(u, FAST)
+    max_concurrence_product(u)
     for _ in range(2):
         with pytest.raises(NotUnitaryError):
-            max_concurrence_product(2 * u, FAST)
+            max_concurrence_product(2 * u)
 
 
 def test_sigma_max_matches_svd():
@@ -475,12 +475,12 @@ def test_product_sweeps_end_once_the_best_start_stops():
 
 
 def test_product_capacity_identity():
-    assert max_concurrence_product(np.eye(4, dtype=complex), FAST).value <= 1e-9
+    assert max_concurrence_product(np.eye(4, dtype=complex)).value <= 1e-9
 
 
 def test_product_capacity_pi8():
     u = canonical_unitary([np.pi / 8, 0, 0])
-    result = max_concurrence_product(u, FAST)
+    result = max_concurrence_product(u)
     assert abs(result.value - 0.70711) <= 1e-3
     # value reproduced by direct evaluation at the reported maximizer
     assert abs(concurrence(u @ result.argmax_state) - result.value) <= 1e-10
@@ -488,25 +488,25 @@ def test_product_capacity_pi8():
 
 def test_product_capacity_perfect_entangler():
     u = canonical_unitary([PI_4, np.pi / 16, 0])
-    assert abs(max_concurrence_product(u, FAST).value - 1.0) <= 1e-3
+    assert abs(max_concurrence_product(u).value - 1.0) <= 1e-3
 
 
 def test_delta_identity():
-    assert max_delta_concurrence(np.eye(4, dtype=complex), FAST).value <= 1e-9
+    assert max_delta_concurrence(np.eye(4, dtype=complex)).value <= 1e-9
 
 
 def test_delta_at_least_product_capacity():
     rng = np.random.default_rng(89)
     for _ in range(3):
         u = haar_random_unitary(4, rng)
-        prod = max_concurrence_product(u, FAST).value
-        delta = max_delta_concurrence(u, FAST).value
-        assert delta >= prod - FAST.tolerance
+        prod = max_concurrence_product(u).value
+        delta = max_delta_concurrence(u).value
+        assert delta >= prod - SearchConfig.tolerance
 
 
 def test_delta_perfect_entangler():
     u = canonical_unitary([PI_4, np.pi / 16, 0])
-    assert abs(max_delta_concurrence(u, FAST).value - 1.0) <= 1e-3
+    assert abs(max_delta_concurrence(u).value - 1.0) <= 1e-3
 
 
 def test_delta_equals_product_capacity_imperfect():
@@ -534,13 +534,13 @@ def test_gain_search_is_the_product_maximisers_gain():
 
 def test_unrestricted_identity():
     # The square root lifts round-off in the tangle gain to ~1e-8.
-    assert max_concurrence_unrestricted(np.eye(4, dtype=complex), FAST).value <= 1e-6
+    assert max_concurrence_unrestricted(np.eye(4, dtype=complex)).value <= 1e-6
 
 
 def test_unrestricted_pi8():
     # sqrt(c_max_prod) = sqrt(sin(pi/4)) = 2^(-1/4)
     u = canonical_unitary([np.pi / 8, 0, 0])
-    result = max_concurrence_unrestricted(u, FAST)
+    result = max_concurrence_unrestricted(u)
     assert abs(result.value - 0.84090) <= 1e-3
     psi = result.argmax_state
     tangle_gain = concurrence(u @ psi) ** 2 - concurrence(psi) ** 2
@@ -549,38 +549,29 @@ def test_unrestricted_pi8():
 
 def test_unrestricted_perfect_entangler():
     u = canonical_unitary([PI_4, np.pi / 16, 0])
-    assert abs(max_concurrence_unrestricted(u, FAST).value - 1.0) <= 1e-3
+    assert abs(max_concurrence_unrestricted(u).value - 1.0) <= 1e-3
 
 
 def test_unrestricted_determinism():
     u = haar_random_unitary(4, np.random.default_rng(101))
-    a = max_concurrence_unrestricted(u, FAST)
-    b = max_concurrence_unrestricted(u, FAST)
+    a = max_concurrence_unrestricted(u)
+    b = max_concurrence_unrestricted(u)
     assert a.value == b.value
     assert np.array_equal(a.argmax_state, b.argmax_state)
 
 
-def test_pure_input_searches_take_a_pool_smaller_than_restarts():
-    # A 2-point grid draws 8 pool inputs for 32 restarts; all 8 are refined.
-    u = haar_random_unitary(4, np.random.default_rng(415))
-    small = SearchConfig(coarse_grid_per_angle=2)
-    result = max_concurrence_unrestricted(u, small)
-    assert 0 <= result.value <= 1
-    assert result.evaluations > 8
-
-
 def test_probe_overlap_identity():
-    assert abs(min_probe_overlap(np.eye(4, dtype=complex), FAST).value - 1.0) <= 1e-9
+    assert abs(min_probe_overlap(np.eye(4, dtype=complex)).value - 1.0) <= 1e-9
 
 
 def test_probe_overlap_antipodal():
     v = np.diag([1, -1, 1, 1]).astype(complex)
-    assert min_probe_overlap(v, FAST).value <= 1e-6
+    assert min_probe_overlap(v).value <= 1e-6
 
 
 def test_probe_overlap_pi8_square():
     u = canonical_unitary([np.pi / 8, 0, 0])
-    result = min_probe_overlap(u @ u, FAST)
+    result = min_probe_overlap(u @ u)
     assert abs(result.value - 0.70711) <= 1e-5
     psi = result.argmax_state
     assert abs(np.abs(np.vdot(psi, u @ u @ psi)) - result.value) <= 1e-12
@@ -592,7 +583,7 @@ def test_probe_overlap_matches_closed_form():
         ax, ay = np.sort(rng.uniform(0, PI_4, 2))[::-1]
         d = np.array([ax, ay, rng.uniform(-ay, ay)])
         u_d = canonical_unitary(d)
-        got = min_probe_overlap(u_d @ u_d, FAST).value
+        got = min_probe_overlap(u_d @ u_d).value
         assert abs(got - d_min_canonical(d)) <= 1e-6
 
 
@@ -628,9 +619,9 @@ def test_oracle_determinism():
     # call searches afresh.
     u = haar_random_unitary(4, np.random.default_rng(101))
     oracle._product_search.cache_clear()
-    a = max_concurrence_product(u, FAST)
+    a = max_concurrence_product(u)
     oracle._product_search.cache_clear()
-    b = max_concurrence_product(u, FAST)
+    b = max_concurrence_product(u)
     assert a is not b
     assert a.value == b.value
     assert np.array_equal(a.argmax_state, b.argmax_state)
