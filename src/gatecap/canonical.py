@@ -25,7 +25,6 @@ from .linalg import (
     DecompositionError,
     check_unitary,
     dagger,
-    kron,
     simultaneous_diagonalize,
     wrap_angle,
 )
@@ -132,7 +131,7 @@ def canonical_unitary(d) -> np.ndarray:
 
 def _compose(phase, x_a, x_b, d, y_a, y_b) -> np.ndarray:
     """exp(i*phase) (x_a (x) x_b) U_d (y_a (x) y_b)."""
-    return np.exp(1j * phase) * kron(x_a, x_b) @ canonical_unitary(d) @ kron(y_a, y_b)
+    return np.exp(1j * phase) * np.kron(x_a, x_b) @ canonical_unitary(d) @ np.kron(y_a, y_b)
 
 
 def mirror_negative_alpha_z(d) -> np.ndarray:
@@ -231,31 +230,19 @@ def _canonicalize_vector(raw) -> _TrackedVector:
 def _kron_factor(m: np.ndarray):
     """Split a 4x4 matrix that is a phase times a tensor product.
 
-    Returns (g, a, b) with a, b unitary 2x2 and |g| = 1; m = g * kron(a, b)
-    when m has that form, which the caller's reconstruction gate judges.
+    Rearranged so that entry ((i, j), (k, l)) is m[2i + k, 2j + l], a product
+    a (x) b becomes the rank-one matrix vec(a) vec(b)^T, so its top singular
+    pair holds both factors (Van Loan and Pitsianis, 1993); each is rounded
+    to the nearest unitary.  Returns (g, a, b) with a, b unitary 2x2 and
+    |g| = 1; m = g * kron(a, b) when m has that form, which the caller's
+    reconstruction gate judges.
     """
-    m = np.asarray(m, dtype=complex)
-    idx = np.unravel_index(np.argmax(np.abs(m)), (4, 4))
-    r, c = idx
-    a = np.zeros((2, 2), dtype=complex)
-    b = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            a[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
-            b[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
-    da = np.sqrt(np.abs(np.linalg.det(a)))
-    db = np.sqrt(np.abs(np.linalg.det(b)))
-    if da == 0 or db == 0:
-        raise DecompositionError("matrix does not factor as a tensor product")
-    a /= da
-    b /= db
-    # Polish the factors to exact unitaries before extracting the phase.
-    ua, _, va = np.linalg.svd(a)
+    u, _, vh = np.linalg.svd(m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+    ua, _, va = np.linalg.svd(u[:, 0].reshape(2, 2))
+    ub, _, vb = np.linalg.svd(vh[0].reshape(2, 2))
     a = ua @ va
-    ub, _, vb = np.linalg.svd(b)
     b = ub @ vb
-    ab = np.kron(a, b)
-    g = np.vdot(ab.ravel(), m.ravel())
+    g = np.vdot(np.kron(a, b).ravel(), m.ravel())
     return g / abs(g), a, b
 
 
@@ -284,8 +271,6 @@ def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     reconstruct ``u`` to ``RECONSTRUCTION_TOL``.
     """
     u = check_unitary(u)
-    if u.shape != (4, 4):
-        raise ValueError("cartan_decompose expects a 4x4 unitary")
 
     det = np.linalg.det(u)
     phase0 = np.angle(det) / 4  # principal fourth root, phase in (-pi/4, pi/4]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .canonical import _as_triple, canonical_unitary
 from .entanglement import binary_entropy, capacities_closed_form
-from .linalg import SIGMA_YY, check_state, kron_state
+from .linalg import SIGMA_YY, check_state
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 
 
@@ -35,14 +35,6 @@ class CapacityRelationReport:
     capacity_term: float
     relation_residual: float
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "e_max_prod": self.e_max_prod,
-            "capacity_term": self.capacity_term,
-            "relation_residual": self.relation_residual,
-            "note": self.note,
-        }
 
 
 def _check_overlap(s: float) -> float:
@@ -96,7 +88,7 @@ def relation1_signals(d, psi_a, psi_b) -> SignalPair:
     if psi_a.shape[0] != 2 or psi_b.shape[0] != 2:
         raise ValueError("relation1_signals expects single-qubit states")
     u_d = canonical_unitary(_as_triple(d))
-    product = kron_state(psi_a, psi_b)
+    product = np.kron(psi_a, psi_b)
     psi1 = u_d @ product
     psi2 = SIGMA_YY @ (u_d.conj().T @ np.conj(product))
     overlap = float(np.abs(np.vdot(psi1, psi2)))

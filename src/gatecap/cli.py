@@ -8,6 +8,7 @@ seed (timing fields excepted).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -33,7 +34,7 @@ from .distinguishability import (
     verify_theorem,
 )
 from .entanglement import capacities_closed_form
-from .linalg import NotUnitaryError, check_unitary, eig_unitary, haar_random_unitary
+from .linalg import NotUnitaryError, eig_unitary, haar_random_unitary
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 from .serialization import MalformedInputError, load_matrix, matrix_to_json
 
@@ -42,8 +43,6 @@ EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 EXIT_NOT_UNITARY = 3
 EXIT_DECOMPOSITION = 4
-
-_ANGLE_KEYS = {"d", "global_phase", "eigenphases"}
 
 
 def _fmt(value: float, degrees: bool = False) -> str:
@@ -72,16 +71,9 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _load_unitary(path: str) -> np.ndarray:
-    u = load_matrix(path)
-    if u.shape != (4, 4):
-        raise MalformedInputError(f"expected a 4x4 matrix, got {u.shape[0]}x{u.shape[1]}")
-    return check_unitary(u)
-
-
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
-    u = _load_unitary(args.matrix)
+    u = load_matrix(args.matrix)
     form = cartan_decompose(u)
     t_decomp = time.perf_counter()
     caps = capacities_closed_form(form.d)
@@ -98,11 +90,12 @@ def cmd_analyze(args) -> int:
         "global_phase": float(form.global_phase),
         "residual": float(form.residual),
         "eigenphases": [float(v) for v in eigenphases(form.d)],
-        "capacities": caps.to_json(),
+        "capacities": dataclasses.asdict(caps),
         "d_min": d_min,
         "theorem": {
-            "quadratic": _residual(caps, d_min["geometric"], "geometric").to_json(),
-            "quartic": _residual(caps, d_min["geometric"], "geometric", quartic=True).to_json(),
+            "quadratic": dataclasses.asdict(_residual(caps, d_min["geometric"], "geometric")),
+            "quartic": dataclasses.asdict(
+                _residual(caps, d_min["geometric"], "geometric", quartic=True)),
         },
         "timings": {
             "decompose_s": t_decomp - t_start,
@@ -132,7 +125,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    u = _load_unitary(args.matrix)
+    u = load_matrix(args.matrix)
     form = cartan_decompose(u)
     if args.json:
         _emit(json.dumps(form.to_json(), indent=2), args.out)
@@ -169,15 +162,15 @@ def cmd_capacities(args) -> int:
             raise MalformedInputError(
                 f"triple {args.d!r} lies outside the region 0 <= |az| <= ay <= ax <= pi/4")
     else:
-        d = cartan_decompose(_load_unitary(args.matrix)).d
+        d = cartan_decompose(load_matrix(args.matrix)).d
     caps = capacities_closed_form(d)
     rel1 = verify_relation1(d)
     rel2 = verify_relation2(d, SearchConfig(args.seed))
     report = {
         "d": [float(v) for v in d],
-        "capacities": caps.to_json(),
-        "relation1": rel1.to_json(),
-        "relation2": rel2.to_json(),
+        "capacities": dataclasses.asdict(caps),
+        "relation1": dataclasses.asdict(rel1),
+        "relation2": dataclasses.asdict(rel2),
     }
     if args.json:
         _emit(json.dumps(report, indent=2), args.out)
@@ -295,10 +288,18 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer, so a bad seed is a usage error
+    before any subcommand starts its work."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # Flags shared by several subcommands; each subcommand takes only those its
 # cmd_* function reads.
 _FLAGS = {
-    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--seed": dict(type=_seed, default=0, help="RNG seed, a non-negative integer (default 0)"),
     "--tol": dict(type=float, default=1e-9,
                   help="tolerance for pass/fail gates (default 1e-9)"),
     "--json": dict(action="store_true", help="emit JSON instead of a table"),

@@ -28,14 +28,6 @@ class TheoremResidual:
     residual: float
     route: str
 
-    def to_json(self) -> dict:
-        return {
-            "c_prod_sq": self.c_prod_sq,
-            "d_min_sq": self.d_min_sq,
-            "residual": self.residual,
-            "route": self.route,
-        }
-
 
 def _largest_gap(phases):
     """Sort phases on [0, 2pi); return (order, wrapped, gaps, k).

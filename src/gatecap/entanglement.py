@@ -37,14 +37,6 @@ class CapacityReport:
     e_max_prod: float
     perfect_entangler: bool
 
-    def to_json(self) -> dict:
-        return {
-            "c_max_prod": self.c_max_prod,
-            "c_max": self.c_max,
-            "e_max_prod": self.e_max_prod,
-            "perfect_entangler": self.perfect_entangler,
-        }
-
 
 def binary_entropy(x: float) -> float:
     """-x log2 x - (1-x) log2 (1-x), with 0 log 0 = 0."""

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for 2x2 and 4x4 matrices.
 
-Provides the matrix primitives the rest of the package is built on:
-Kronecker products, unitarity checks, eigendecomposition of unitary
+Provides the matrix primitives the rest of the package is built on: the
+two-qubit gate check and the state check, eigendecomposition of unitary
 matrices with orthonormal eigenvectors even for degenerate spectra, and
-seeded Haar-random sampling.
+seeded Haar-random sampling.  Tensor products are plain ``np.kron``.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
-    """Validate and return a unitary matrix of dimension 2 or 4."""
+    """Validate and return a two-qubit gate: a 4x4 unitary matrix."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
-    if u.shape[0] not in (2, 4):
-        raise DimensionMismatchError(f"only dimensions 2 and 4 are supported, got {u.shape[0]}")
+    if u.shape != (4, 4):
+        raise DimensionMismatchError(f"expects a 4x4 unitary, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("matrix contains non-finite entries")
     defect = unitarity_defect(u)
@@ -97,24 +95,6 @@ def check_state(psi: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1):.3e}")
     return psi
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices into a 4x4 matrix."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise DimensionMismatchError("kron expects two 2x2 matrices")
-    return np.kron(a, b)
-
-
-def kron_state(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
-    """Tensor product of two single-qubit states into a two-qubit state."""
-    psi_a = np.asarray(psi_a, dtype=complex).ravel()
-    psi_b = np.asarray(psi_b, dtype=complex).ravel()
-    if psi_a.shape != (2,) or psi_b.shape != (2,):
-        raise DimensionMismatchError("kron_state expects two 2-dimensional states")
-    return np.kron(psi_a, psi_b)
 
 
 @dataclass(frozen=True)

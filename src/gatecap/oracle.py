@@ -154,8 +154,6 @@ def max_concurrence_product(u: np.ndarray) -> SearchResult:
     without searching.  Its ``argmax_state`` is therefore read-only.
     """
     u = check_unitary(u)
-    if u.shape != (4, 4):
-        raise ValueError("max_concurrence_product expects a 4x4 unitary")
     return _product_search(u.tobytes())
 
 
@@ -396,8 +394,6 @@ def max_delta_concurrence(u: np.ndarray) -> SearchResult:
     state returned is the memo's read-only array.
     """
     u = check_unitary(u)
-    if u.shape != (4, 4):
-        raise ValueError("max_delta_concurrence expects a 4x4 unitary")
     prod_search = max_concurrence_product(u)
     state = prod_search.argmax_state
     value = float(_concurrence(u @ state) - _concurrence(state))
@@ -417,8 +413,6 @@ def max_concurrence_unrestricted(u: np.ndarray,
     returned state.
     """
     u = check_unitary(u)
-    if u.shape != (4, 4):
-        raise ValueError("max_concurrence_unrestricted expects a 4x4 unitary")
     pool, pool_concurrence = _seeded_pool(cfg.seed)
     values = _concurrence(u @ pool) ** 2 - pool_concurrence ** 2
     best = np.argpartition(values, -SearchConfig.restarts)[-SearchConfig.restarts:]
@@ -451,8 +445,6 @@ def min_probe_overlap(v: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Sear
     geometry of ``d_min_geometric`` and the closed form independently.
     """
     v = check_unitary(v)
-    if v.shape != (4, 4):
-        raise ValueError("min_probe_overlap expects a 4x4 unitary")
     probes = _random_states(SearchConfig.restarts, np.random.default_rng(cfg.seed))
     refined = minimize(_probe_objective(v), probes)
     best = refined.states[:, np.argmax(refined.values)]

@@ -9,6 +9,7 @@ search (largest C(U psi) - C(psi)) against c_max_prod.
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from gatecap.canonical import (
     canonical_unitary,
@@ -29,7 +30,7 @@ from gatecap.entanglement import (
     concurrence_conjugate_form,
     entropy_of_entanglement,
 )
-from gatecap.linalg import haar_random_unitary, kron, random_pure_state
+from gatecap.linalg import haar_random_unitary, random_pure_state
 from gatecap.oracle import (
     max_concurrence_product,
     max_concurrence_unrestricted,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from gatecap.canonical import (
     _kron_factor,
@@ -13,7 +14,14 @@ from gatecap.canonical import (
     mirror_negative_alpha_z,
 )
 from gatecap.distinguishability import d_min_geometric
-from gatecap.linalg import PAULI_Z, eig_unitary, haar_random_unitary, kron, unitarity_defect
+from gatecap.linalg import (
+    I2,
+    PAULI_Z,
+    PAULIS,
+    eig_unitary,
+    haar_random_unitary,
+    unitarity_defect,
+)
 
 PI_4 = np.pi / 4
 
@@ -219,12 +227,20 @@ def test_mirror_identity():
 
 
 def test_kron_factor_round_trip():
+    # Factors with zero entries (Paulis, a Hadamard, diagonal phases), which
+    # a split that pivots on one entry of m must work round, and Haar factors.
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        a = haar_random_unitary(2, rng)
-        b = haar_random_unitary(2, rng)
-        g, fa, fb = _kron_factor(kron(a, b))
-        assert np.max(np.abs(g * kron(fa, fb) - kron(a, b))) <= 1e-10
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    phases = np.diag([1, np.exp(0.7j)])
+    pairs = [(p, q) for p in (I2, *PAULIS) for q in (I2, *PAULIS)]
+    pairs += [(hadamard, hadamard), (phases, hadamard), (phases, phases), (PAULIS[0], hadamard)]
+    pairs += [(haar_random_unitary(2, rng), haar_random_unitary(2, rng)) for _ in range(20)]
+    for a, b in pairs:
+        m = np.exp(1j * rng.uniform(-np.pi, np.pi)) * kron(a, b)
+        g, fa, fb = _kron_factor(m)
+        assert unitarity_defect(fa) <= 1e-14 and unitarity_defect(fb) <= 1e-14
+        assert abs(abs(g) - 1) <= 1e-15
+        assert np.max(np.abs(g * kron(fa, fb) - m)) <= 1e-14
 
 
 def test_decompose_rejects_non_unitary():

@@ -8,14 +8,15 @@ import sys
 
 import numpy as np
 import pytest
+from numpy import kron
 
 import gatecap
 from gatecap.canonical import MAGIC, MAGIC_DAG, canonical_unitary, cartan_decompose
 from gatecap.cli import main
 from gatecap.distinguishability import hull_min_distance, verify_theorem
 from gatecap.entanglement import capacities_closed_form
-from gatecap.linalg import eig_unitary, haar_random_unitary, kron
-from gatecap.serialization import matrix_to_json
+from gatecap.linalg import eig_unitary, haar_random_unitary
+from gatecap.serialization import matrix_from_json, matrix_to_json
 
 PI_4 = np.pi / 4
 
@@ -187,6 +188,51 @@ def test_decompose_local_invariance(write_matrix, capsys):
     report = json.loads(capsys.readouterr().out)
     assert np.max(np.abs(np.array(report["d"]) - d)) <= 1e-9
     assert report["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("d", [
+    [0, 0, 0], [PI_4, 0, 0], [PI_4, np.pi / 8, 0], [np.pi / 8, 0, 0],
+    [PI_4, PI_4, PI_4], [np.pi / 8, np.pi / 8, np.pi / 8], None,
+])
+def test_decompose_json_rebuilds_the_input(d, write_matrix, capsys):
+    # The printed factors and phase are one representative among several;
+    # whichever it is, the fields must rebuild the input.
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        if d is None:
+            u = haar_random_unitary(4, rng)
+        else:
+            u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+                 @ canonical_unitary(d)
+                 @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+        assert main(["decompose", write_matrix(u), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        xa, xb, ya, yb = (matrix_from_json(report[k]) for k in ("XA", "XB", "YA", "YB"))
+        rebuilt = (np.exp(1j * report["global_phase"]) * kron(xa, xb)
+                   @ canonical_unitary(report["d"]) @ kron(ya, yb))
+        assert np.max(np.abs(rebuilt - u)) <= 1e-9
+
+
+def test_negative_seed_is_a_usage_error(write_matrix, capsys):
+    path = write_matrix(haar_random_unitary(4, np.random.default_rng(3)))
+    for argv in (["analyze", path, "--seed", "-1"], ["analyze", path, "--numeric", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_capacities_rejects_a_negative_seed_before_searching(monkeypatch, capsys):
+    import gatecap.cli as cli
+
+    def fail(d):
+        raise AssertionError("relation 1 ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "verify_relation1", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["capacities", "--d", "0.3927,0,0", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_capacities_triple(capsys):

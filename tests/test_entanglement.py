@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from gatecap.entanglement import (
     binary_entropy,
@@ -11,7 +12,7 @@ from gatecap.entanglement import (
     entropy_of_entanglement,
     is_perfect_entangler,
 )
-from gatecap.linalg import haar_random_unitary, kron, kron_state, random_pure_state
+from gatecap.linalg import haar_random_unitary, random_pure_state
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PI_4 = np.pi / 4
@@ -58,7 +59,7 @@ def test_concurrence_local_invariance():
 def test_concurrence_zero_on_kron_products():
     rng = np.random.default_rng(47)
     for _ in range(50):
-        psi = kron_state(random_pure_state(2, rng), random_pure_state(2, rng))
+        psi = kron(random_pure_state(2, rng), random_pure_state(2, rng))
         assert concurrence(psi) <= 1e-12
 
 

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+from numpy import kron
 
 import gatecap
 from gatecap.linalg import (
@@ -15,7 +16,6 @@ from gatecap.linalg import (
     check_unitary,
     eig_unitary,
     haar_random_unitary,
-    kron,
     random_pure_state,
     unitarity_defect,
 )

@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from gatecap.canonical import canonical_unitary, cartan_decompose, in_weyl_region
 from gatecap.distinguishability import d_min_canonical
 from gatecap.entanglement import capacities_closed_form, concurrence, concurrence_conjugate_form
-from gatecap.linalg import SIGMA_YY, NotUnitaryError, haar_random_unitary, kron
+from gatecap.linalg import SIGMA_YY, NotUnitaryError, haar_random_unitary
 import gatecap.oracle as oracle
 from gatecap.oracle import (
     SearchConfig,
