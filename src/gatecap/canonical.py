@@ -7,24 +7,24 @@ d = (ax, ay, az) can be brought into the region
     0 <= |az| <= ay <= ax <= pi/4
 
 by local-unitary symmetry moves.  This module builds U_d in closed form,
-extracts d and the local factors from an arbitrary unitary, and provides
-the sign-mirror for negative az.
+extracts d from an arbitrary unitary through the spectrum of M^T M in the
+magic basis (Makhlin, 2002), drives d into that region by moves on the
+triple alone, reads the local factors off one match of U_d's magic-basis
+spectrum, and provides the sign-mirror for negative az.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     ANGLE_TOL,
-    I2,
-    PAULIS,
     RECONSTRUCTION_TOL,
     DecompositionError,
     check_unitary,
-    dagger,
     simultaneous_diagonalize,
     wrap_angle,
 )
@@ -44,11 +44,10 @@ MAGIC = np.array([
 ], dtype=complex) / np.sqrt(2)
 MAGIC_DAG = MAGIC.conj().T
 
-# pi/2 rotations about each axis; conjugating both qubits by the axis-k
-# rotation swaps the interaction strengths of the other two axes.
-_AXIS_SWAPPERS = tuple(
-    np.cos(PI_4) * I2 - 1j * np.sin(PI_4) * sigma for sigma in PAULIS
-)
+# The 24 orderings of a magic diagonal, and the two powers of i that a
+# symmetry move can leave on it beyond signs.
+_ORDERINGS = np.array(list(itertools.permutations(range(4))))
+_QUARTER_TURNS = np.array([1, 1j])
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,15 @@ def eigenphases(d) -> np.ndarray:
     return np.sort(eigenphase_vector(d))
 
 
+def _magic_diagonal(d) -> np.ndarray:
+    """Eigenvalues of U_d on the magic-basis columns, exp(-i(l3, l4, l1, l2))."""
+    l1, l2, l3, l4 = eigenphase_vector(d)
+    return np.exp(-1j * np.array([l3, l4, l1, l2]))
+
+
 def canonical_unitary(d) -> np.ndarray:
     """exp[-i(ax XX + ay YY + az ZZ)] built in the magic eigenbasis."""
-    l1, l2, l3, l4 = eigenphase_vector(d)
-    # Magic-basis columns diagonalize the generator with eigenvalues
-    # (l3, l4, l1, l2) in column order.
-    diag = np.exp(-1j * np.array([l3, l4, l1, l2]))
-    return (MAGIC * diag) @ MAGIC_DAG
+    return (MAGIC * _magic_diagonal(d)) @ MAGIC_DAG
 
 
 def _compose(phase, x_a, x_b, d, y_a, y_b) -> np.ndarray:
@@ -147,84 +148,31 @@ def mirror_negative_alpha_z(d) -> np.ndarray:
     return np.array([ax, ay, -az])
 
 
-class _TrackedVector:
-    """Interaction triple together with the local fixups of each symmetry move.
-
-    Maintains the invariant
-        U_d(raw) = exp(i*phase) (la (x) lb) U_d(v) (ra (x) rb).
-    """
-
-    def __init__(self, raw: np.ndarray):
-        self.v = np.array(raw, dtype=float)
-        self.phase = 0.0
-        self.la = I2.copy()
-        self.lb = I2.copy()
-        self.ra = I2.copy()
-        self.rb = I2.copy()
-
-    def shift(self, k: int, step: int) -> None:
-        # U_d(v + n*pi/2 e_k) differs from U_d(v) by i^n (s_k (x) s_k) and a phase.
-        self.v[k] += step * PI_2
-        self.phase += step * PI_2
-        if step % 2:
-            sigma = PAULIS[k]
-            self.ra = sigma @ self.ra
-            self.rb = sigma @ self.rb
-
-    def negate(self, j: int, k: int) -> None:
-        # Conjugating qubit A by the third-axis Pauli negates components j and k.
-        sigma = PAULIS[3 - j - k]
-        self.v[j] *= -1
-        self.v[k] *= -1
-        self.la = self.la @ sigma
-        self.ra = sigma @ self.ra
-
-    def swap(self, j: int, k: int) -> None:
-        # Conjugating both qubits by the third-axis pi/2 rotation swaps j and k.
-        r = _AXIS_SWAPPERS[3 - j - k]
-        rd = dagger(r)
-        self.v[j], self.v[k] = self.v[k], self.v[j]
-        self.la = self.la @ r
-        self.lb = self.lb @ r
-        self.ra = rd @ self.ra
-        self.rb = rd @ self.rb
-
-    def shift_into_band(self, k: int) -> None:
-        # Bring v[k] into (-pi/4, pi/4].
-        while self.v[k] <= -PI_4:
-            self.shift(k, +1)
-        while self.v[k] > PI_4:
-            self.shift(k, -1)
-
-    def sort_descending_abs(self) -> None:
-        if abs(self.v[0]) < abs(self.v[1]):
-            self.swap(0, 1)
-        if abs(self.v[1]) < abs(self.v[2]):
-            self.swap(1, 2)
-        if abs(self.v[0]) < abs(self.v[1]):
-            self.swap(0, 1)
-
-
-def _canonicalize_vector(raw) -> _TrackedVector:
+def _canonical_triple(raw) -> np.ndarray:
     """Drive an arbitrary triple into the region 0 <= |az| <= ay <= ax <= pi/4.
 
+    The moves are pi/2 shifts of one component, swaps of two and sign flips
+    of a pair; each is a local-unitary symmetry of U_d up to a phase.
     Tie-break at ax = pi/4 (within ``ANGLE_TOL``, the tolerance of
     ``in_weyl_region``): the representative with az >= 0 is chosen.
     """
-    t = _TrackedVector(_as_triple(raw))
+    v = np.array(_as_triple(raw))
     for k in range(3):
-        t.shift_into_band(k)
-    t.sort_descending_abs()
-    if t.v[0] < 0:
-        t.negate(0, 2)
-    if t.v[1] < 0:
-        t.negate(1, 2)
-    t.shift_into_band(2)
-    if t.v[0] > PI_4 - ANGLE_TOL and t.v[2] < 0:
-        t.shift(0, -1)
-        t.negate(0, 2)
-    t.phase = wrap_angle(t.phase)
-    return t
+        while v[k] <= -PI_4:
+            v[k] += PI_2
+        while v[k] > PI_4:
+            v[k] -= PI_2
+    for j, k in ((0, 1), (1, 2), (0, 1)):
+        if abs(v[j]) < abs(v[k]):
+            v[j], v[k] = v[k], v[j]
+    if v[0] < 0:
+        v[[0, 2]] *= -1
+    if v[1] < 0:
+        v[[1, 2]] *= -1
+    if v[0] > PI_4 - ANGLE_TOL and v[2] < 0:
+        v[0] -= PI_2
+        v[[0, 2]] *= -1
+    return v
 
 
 def _kron_factor(m: np.ndarray):
@@ -246,29 +194,20 @@ def _kron_factor(m: np.ndarray):
     return g / abs(g), a, b
 
 
-def _magic_symmetric_eigensystem(m2: np.ndarray):
-    """Real orthogonal eigenbasis of the complex-symmetric unitary M^T M."""
-    re = np.real(m2)
-    im = np.imag(m2)
-    re = (re + re.T) / 2
-    im = (im + im.T) / 2
-    p = simultaneous_diagonalize(re, im)
-    eigvals = np.einsum("ij,ik,kj->j", p, m2, p)
-    if np.linalg.det(p) < 0:
-        p = p.copy()
-        p[:, 0] *= -1
-    return eigvals, p
-
-
 def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     """Canonical decomposition of a 4x4 unitary.
 
     The input is normalized to unit determinant (the principal fourth root
-    of det(U) becomes the global phase), transformed to the magic basis,
-    and split through the real orthogonal diagonalization of M^T M.  The
-    interaction triple is then driven into the standard region with tracked
-    local fixups.  Raises ``DecompositionError`` when the result does not
-    reconstruct ``u`` to ``RECONSTRUCTION_TOL``.
+    of det(U) becomes the global phase) and transformed to the magic basis,
+    M = k1 diag(a) p^T with k1, p real orthogonal from the diagonalization
+    of M^T M.  The triple read off a is driven into the standard region on
+    its own.  The local factors then come from one match of spectra: the
+    moves only reorder the magic diagonal t of U_d(d), flip its signs and
+    multiply it by a power of i, so a = g s t[perm] with g in {1, i}, and
+    the best of the 2 x 24 candidates gives k1 diag(s) Q and (p Q)^T, both
+    real orthogonal with unit determinant, as the two local factors.
+    Raises ``DecompositionError`` when the result does not reconstruct
+    ``u`` to ``RECONSTRUCTION_TOL``.
     """
     u = check_unitary(u)
 
@@ -277,7 +216,10 @@ def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     u_su = u * np.exp(-1j * phase0)
 
     m = MAGIC_DAG @ u_su @ MAGIC
-    eigvals, p = _magic_symmetric_eigensystem(m.T @ m)
+    m2 = m.T @ m
+    re, im = m2.real, m2.imag
+    p = simultaneous_diagonalize((re + re.T) / 2, (im + im.T) / 2)
+    eigvals = np.einsum("ij,ik,kj->j", p, m2, p)
 
     mu = np.angle(eigvals) / 2
     total = float(np.sum(mu))
@@ -286,29 +228,24 @@ def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     # Eigenvalues of U_d in magic column order are exp(-i(l3, l4, l1, l2)),
     # so lam[j] = -mu[j] and the pairwise sums recover the triple.
     lam = -mu
-    raw = np.array([
-        (lam[0] + lam[1]) / 2,
-        (lam[1] + lam[3]) / 2,
-        (lam[0] + lam[3]) / 2,
-    ])
+    d = _canonical_triple(np.array([lam[0] + lam[1], lam[1] + lam[3], lam[0] + lam[3]]) / 2)
 
-    a_diag = np.exp(1j * mu)
-    k1 = np.real(m @ p @ np.diag(np.conj(a_diag)))
-    k2 = p.T
+    a = np.exp(1j * mu)
+    k1 = np.real(m @ p @ np.diag(np.conj(a)))
+    ratio = a / (_QUARTER_TURNS[:, None, None] * _magic_diagonal(d)[_ORDERINGS])
+    signs = np.where(ratio.real < 0, -1.0, 1.0)
+    g, k = np.unravel_index(np.argmin(np.max(np.abs(ratio - signs), axis=2)), ratio.shape[:2])
+    q = np.eye(4)[_ORDERINGS[k]]
+    if np.linalg.det(p) * np.linalg.det(q) < 0:
+        q[:, 0] *= -1
 
-    g1, a1, b1 = _kron_factor(MAGIC @ k1 @ MAGIC_DAG)
-    g2, a2, b2 = _kron_factor(MAGIC @ k2 @ MAGIC_DAG)
+    g1, x_a, x_b = _kron_factor(MAGIC @ (k1 * signs[g, k]) @ q @ MAGIC_DAG)
+    g2, y_a, y_b = _kron_factor(MAGIC @ (p @ q).T @ MAGIC_DAG)
+    phase = float(wrap_angle(phase0 + np.angle(_QUARTER_TURNS[g]) + np.angle(g1) + np.angle(g2)))
 
-    t = _canonicalize_vector(raw)
-    x_a = a1 @ t.la
-    x_b = b1 @ t.lb
-    y_a = t.ra @ a2
-    y_b = t.rb @ b2
-    phase = float(wrap_angle(phase0 + t.phase + np.angle(g1) + np.angle(g2)))
-
-    residual = float(np.max(np.abs(_compose(phase, x_a, x_b, t.v, y_a, y_b) - u)))
+    residual = float(np.max(np.abs(_compose(phase, x_a, x_b, d, y_a, y_b) - u)))
     if not residual <= RECONSTRUCTION_TOL:
         raise DecompositionError(
             f"reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
     return CanonicalForm(x_a=x_a, x_b=x_b, y_a=y_a, y_b=y_b,
-                         d=t.v, global_phase=phase, residual=residual)
+                         d=d, global_phase=phase, residual=residual)

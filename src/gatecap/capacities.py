@@ -83,10 +83,8 @@ def relation1_signals(d, psi_a, psi_b) -> SignalPair:
     conjugated product state and spin-flips the result.  The overlap of
     the pair then equals the concurrence of psi1 by the spin-flip form.
     """
-    psi_a = check_state(psi_a)
-    psi_b = check_state(psi_b)
-    if psi_a.shape[0] != 2 or psi_b.shape[0] != 2:
-        raise ValueError("relation1_signals expects single-qubit states")
+    psi_a = check_state(psi_a, 2)
+    psi_b = check_state(psi_b, 2)
     u_d = canonical_unitary(_as_triple(d))
     product = np.kron(psi_a, psi_b)
     psi1 = u_d @ product

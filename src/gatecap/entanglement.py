@@ -61,26 +61,20 @@ def concurrence(state) -> float:
     so the value is computed as 2 |det R|; this avoids the square root
     amplifying round-off into ~1e-8 on (near-)product states.
     """
-    state = check_state(state)
-    if state.shape[0] != 4:
-        raise ValueError("concurrence expects a two-qubit state")
+    state = check_state(state, 4)
     r = _amplitude_matrix(state)
     return min(2.0 * float(np.abs(np.linalg.det(r))), 1.0)
 
 
 def concurrence_conjugate_form(state) -> float:
     """Concurrence via the spin-flip overlap |<Psi| sy (x) sy |Psi*>|."""
-    state = check_state(state)
-    if state.shape[0] != 4:
-        raise ValueError("concurrence_conjugate_form expects a two-qubit state")
+    state = check_state(state, 4)
     return min(float(np.abs(state @ SIGMA_YY @ state)), 1.0)
 
 
 def entropy_of_entanglement(state) -> float:
     """Von Neumann entropy (base 2) of the reduced single-qubit state."""
-    state = check_state(state)
-    if state.shape[0] != 4:
-        raise ValueError("entropy_of_entanglement expects a two-qubit state")
+    state = check_state(state, 4)
     r = _amplitude_matrix(state)
     q = np.linalg.eigvalsh(r @ r.conj().T)
     total = 0.0

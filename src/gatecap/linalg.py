@@ -84,11 +84,11 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def check_state(psi: np.ndarray) -> np.ndarray:
-    """Validate and return a normalized pure state of dimension 2 or 4."""
+def check_state(psi: np.ndarray, dim: int) -> np.ndarray:
+    """Validate and return a normalized pure state of dimension ``dim``."""
     psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.shape[0] not in (2, 4):
-        raise DimensionMismatchError(f"only dimensions 2 and 4 are supported, got {psi.shape[0]}")
+    if psi.shape[0] != dim:
+        raise DimensionMismatchError(f"expects a state of dimension {dim}, got {psi.shape[0]}")
     if not np.all(np.isfinite(psi)):
         raise ValueError("state contains non-finite amplitudes")
     norm = float(np.linalg.norm(psi))
@@ -126,17 +126,22 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     when the orthogonal combination b*h1 - a*h2 is diagonal in it to
     ``COMMUTING_OFFDIAG_TOL`` (absolute; the inputs have norm about 1).  A
     generic combination separates every joint eigenpair however close the
-    spectra of h1 and h2 are on their own.  Otherwise the next pair (a, b) is tried; when none is
-    accepted the last basis is returned for the caller's reconstruction gate
-    to judge.  For real symmetric inputs the returned eigenvector matrix is
+    spectra of h1 and h2 are on their own.  Otherwise the next pair (a, b)
+    is tried.  When none is accepted (h1 and h2 commute only to about the
+    input's unitarity defect) the basis with the smallest off-diagonal
+    among those tried is returned for the caller's reconstruction gate to
+    judge.  For real symmetric inputs the returned eigenvector matrix is
     real orthogonal.
     """
+    tried = []
     for a, b in _COMBINATIONS:
         _, p = np.linalg.eigh(a * h1 + b * h2)
         rest = dagger(p) @ (b * h1 - a * h2) @ p
-        if np.max(np.abs(rest - np.diag(np.diagonal(rest)))) <= COMMUTING_OFFDIAG_TOL:
-            break
-    return p
+        offdiag = np.max(np.abs(rest - np.diag(np.diagonal(rest))))
+        if offdiag <= COMMUTING_OFFDIAG_TOL:
+            return p
+        tried.append((offdiag, p))
+    return min(tried, key=lambda pair: pair[0])[1]
 
 
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:

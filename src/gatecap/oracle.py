@@ -391,10 +391,11 @@ def max_delta_concurrence(u: np.ndarray) -> SearchResult:
     and the product search's ``evaluations``.  The product search comes
     from the one-entry memo of ``max_concurrence_product``, so right after
     a product search on the same gate it costs nothing, and the
-    state returned is the memo's read-only array.
+    state returned is the memo's read-only array.  The gate is checked
+    once, here.
     """
     u = check_unitary(u)
-    prod_search = max_concurrence_product(u)
+    prod_search = _product_search(u.tobytes())
     state = prod_search.argmax_state
     value = float(_concurrence(u @ state) - _concurrence(state))
     return SearchResult(value=min(max(value, 0.0), 1.0), argmax_state=state,

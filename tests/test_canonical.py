@@ -5,6 +5,7 @@ import pytest
 from numpy import kron
 
 from gatecap.canonical import (
+    _canonical_triple,
     _kron_factor,
     canonical_unitary,
     cartan_decompose,
@@ -18,6 +19,8 @@ from gatecap.linalg import (
     I2,
     PAULI_Z,
     PAULIS,
+    UNITARITY_TOL,
+    NotUnitaryError,
     eig_unitary,
     haar_random_unitary,
     unitarity_defect,
@@ -152,6 +155,8 @@ DEGENERATE_CLASSES = {
     "controlled_sqrt_x": [np.pi / 8, 0, 0],
     "swap": [PI_4, PI_4, PI_4],
     "sqrt_swap": [np.pi / 8, np.pi / 8, np.pi / 8],
+    "iswap": [PI_4, PI_4, 0],
+    "sqrt_swap_dag": [np.pi / 8, np.pi / 8, -np.pi / 8],
 }
 
 
@@ -169,6 +174,28 @@ def test_decompose_near_degenerate_classes(name):
             g_in = _makhlin_invariants(u)
             g_out = _makhlin_invariants(canonical_unitary(form.d))
             assert max(abs(g_in[0] - g_out[0]), abs(g_in[1] - g_out[1])) <= 1e-12, (name, eps)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-11, 1e-10])
+def test_decompose_every_input_the_unitarity_gate_accepts(delta):
+    # Haar gates and dressed named classes, each entry moved by at most
+    # delta / 2.  The Hermitian pairs that both factorisations diagonalize
+    # then commute only to about the defect, so no eigh basis may pass the
+    # acceptance test; both must still succeed, with an error of the
+    # defect's order.
+    rng = np.random.default_rng(12)
+    gates = [haar_random_unitary(4, rng) for _ in range(300)]
+    gates += [_dress(d, rng) for d in DEGENERATE_CLASSES.values() for _ in range(10)]
+    for u in gates:
+        e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v = u + e * (delta / 2) / np.max(np.abs(e))
+        if unitarity_defect(v) > UNITARITY_TOL:
+            with pytest.raises(NotUnitaryError):
+                cartan_decompose(v)
+            continue
+        form = cartan_decompose(v)
+        assert form.residual <= 10 * delta, (delta, form.residual)
+        assert np.max(np.abs(eig_unitary(v).reconstruct() - v)) <= 10 * delta
 
 
 def test_decompose_face_tie_break():
@@ -193,14 +220,38 @@ def _reduced(raw):
 
 
 def test_reduce_to_weyl_examples():
-    d = _reduced([np.pi / 8, PI_4, 0])
-    assert np.allclose(d, [PI_4, np.pi / 8, 0], atol=1e-12)
-
-    d = _reduced([PI_4 + np.pi / 2, 0, 0])
-    assert np.allclose(d, [PI_4, 0, 0], atol=1e-12)
-
-    d = _reduced([np.pi / 8, np.pi / 8, -np.pi / 16])
-    assert np.allclose(d, [np.pi / 8, np.pi / 8, -np.pi / 16], atol=1e-12)
+    # (raw, representative); together the triples take every branch of the
+    # reduction, both on the triple alone and through the decomposition.
+    pi_2, pi_8 = np.pi / 2, np.pi / 8
+    examples = [
+        ([pi_8, PI_4, 0], [PI_4, pi_8, 0]),
+        ([PI_4 + pi_2, 0, 0], [PI_4, 0, 0]),
+        ([pi_8, pi_8, -np.pi / 16], [pi_8, pi_8, -np.pi / 16]),
+        # shifts down from beyond pi/4 and 3pi/4, up from beyond -pi/4 and -3pi/4
+        ([0.3 - np.pi, 0.2 + np.pi, 0.1], [0.3, 0.2, 0.1]),
+        ([0.3, 0.2 + pi_2, 0.1 - pi_2], [0.3, 0.2, 0.1]),
+        # each of the three conditional swaps
+        ([0.1, 0.2 - pi_2, 0.3 + pi_2], [0.3, 0.2, 0.1]),
+        ([0.2, 0.3, 0.1], [0.3, 0.2, 0.1]),
+        ([0.3, 0.1, 0.2], [0.3, 0.2, 0.1]),
+        # each pair negation, and both
+        ([-0.3, 0.2, 0.1], [0.3, 0.2, -0.1]),
+        ([0.3, -0.2, 0.1], [0.3, 0.2, -0.1]),
+        ([-0.3, -0.2, 0.1], [0.3, 0.2, 0.1]),
+        # components exactly at -pi/4 and pi/4
+        ([-PI_4, 0.2, 0.1], [PI_4, 0.2, 0.1]),
+        ([0.2, PI_4, -PI_4], [PI_4, PI_4, 0.2]),
+        # exact ties |v_j| = |v_k|
+        ([0.3, -0.3, 0.1], [0.3, 0.3, -0.1]),
+        ([-0.2, 0.2, 0.2], [0.2, 0.2, -0.2]),
+        ([0.1, -0.3, 0.3], [0.3, 0.3, -0.1]),
+        # the tie-break on the ax = pi/4 face with az < 0
+        ([PI_4, 0.3, -0.2], [PI_4, 0.3, 0.2]),
+        ([-PI_4, 0.3, -0.2], [PI_4, 0.3, 0.2]),
+    ]
+    for raw, want in examples:
+        assert np.allclose(_canonical_triple(raw), want, atol=1e-12), raw
+        assert np.allclose(_reduced(raw), want, atol=1e-12), raw
 
 
 def test_reduce_to_weyl_preserves_sin_multiset():

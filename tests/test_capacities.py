@@ -12,7 +12,7 @@ from gatecap.capacities import (
     verify_relation2,
 )
 from gatecap.entanglement import concurrence
-from gatecap.linalg import random_pure_state
+from gatecap.linalg import DimensionMismatchError, random_pure_state
 
 PI_4 = np.pi / 4
 
@@ -69,6 +69,10 @@ def test_relation1_signal_overlap_is_concurrence():
 def test_relation1_identity_triple():
     pair = relation1_signals([0, 0, 0], np.array([1, 0]), np.array([1, 0]))
     assert pair.overlap <= 1e-12
+    for psi_a, psi_b in ((np.array([1, 0, 0, 0]), np.array([1, 0])),
+                         (np.array([1, 0]), np.array([1, 0, 0, 0]))):
+        with pytest.raises(DimensionMismatchError):
+            relation1_signals([0, 0, 0], psi_a, psi_b)
 
 
 def test_relation1_residuals():

@@ -144,6 +144,16 @@ def test_analyze_non_unitary(write_matrix, capsys):
     assert "not-unitary" in capsys.readouterr().err
 
 
+def test_analyze_decomposes_a_gate_the_unitarity_gate_accepts(write_matrix, capsys):
+    # A Haar gate moved by at most 5e-12 per entry: unitarity defect 1.0e-11,
+    # which the 1e-10 gate accepts, so the decomposition must succeed too.
+    rng = np.random.default_rng(223)
+    u = haar_random_unitary(4, rng)
+    e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert main(["analyze", write_matrix(u + e * 0.5e-11 / np.max(np.abs(e))), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] <= 1e-10
+
+
 def test_wrong_basis_fails_the_reconstruction_gate(write_matrix, monkeypatch, capsys):
     # A wrong orthogonal basis from simultaneous_diagonalize, at the name
     # each module binds, is caught by the factorisation's one output gate.

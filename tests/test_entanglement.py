@@ -12,7 +12,7 @@ from gatecap.entanglement import (
     entropy_of_entanglement,
     is_perfect_entangler,
 )
-from gatecap.linalg import haar_random_unitary, random_pure_state
+from gatecap.linalg import DimensionMismatchError, haar_random_unitary, random_pure_state
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PI_4 = np.pi / 4
@@ -33,6 +33,8 @@ def test_binary_entropy_rejects_out_of_range():
 def test_concurrence_product_and_bell():
     assert concurrence(np.array([1, 0, 0, 0], dtype=complex)) == 0.0
     assert abs(concurrence(BELL) - 1.0) <= 1e-12
+    with pytest.raises(DimensionMismatchError):
+        concurrence(np.array([1, 0], dtype=complex))
 
 
 def test_concurrence_schmidt_form():
@@ -46,6 +48,8 @@ def test_concurrence_forms_agree():
     for _ in range(200):
         psi = random_pure_state(4, rng)
         assert abs(concurrence(psi) - concurrence_conjugate_form(psi)) <= 1e-12
+    with pytest.raises(DimensionMismatchError):
+        concurrence_conjugate_form(np.array([1, 0], dtype=complex))
 
 
 def test_concurrence_local_invariance():
@@ -69,6 +73,8 @@ def test_entropy_values():
     theta = np.pi / 8
     psi = np.array([np.cos(theta), 0, 0, np.sin(theta)])
     assert abs(entropy_of_entanglement(psi) - 0.6009) <= 1e-4
+    with pytest.raises(DimensionMismatchError):
+        entropy_of_entanglement(np.array([1, 0], dtype=complex))
 
 
 def test_entropy_matches_concurrence_form():

@@ -114,12 +114,14 @@ def test_random_states_normalized_and_deterministic():
 
 def test_check_state_rejects_unnormalized():
     with pytest.raises(ValueError):
-        check_state(np.array([1.0, 1.0, 0.0, 0.0]))
+        check_state(np.array([1.0, 1.0, 0.0, 0.0]), 4)
 
 
 def test_check_unitary_rejects_bad_dimension():
     with pytest.raises(DimensionMismatchError):
         check_unitary(np.eye(3, dtype=complex))
+    with pytest.raises(DimensionMismatchError, match="dimension 4, got 2"):
+        check_state(np.array([1.0, 0.0]), 4)
 
 
 def test_check_unitary_rejects_non_square():

@@ -10,7 +10,7 @@ from numpy import kron
 from gatecap.canonical import canonical_unitary, cartan_decompose, in_weyl_region
 from gatecap.distinguishability import d_min_canonical
 from gatecap.entanglement import capacities_closed_form, concurrence, concurrence_conjugate_form
-from gatecap.linalg import SIGMA_YY, NotUnitaryError, haar_random_unitary
+from gatecap.linalg import SIGMA_YY, NotUnitaryError, check_unitary, haar_random_unitary
 import gatecap.oracle as oracle
 from gatecap.oracle import (
     SearchConfig,
@@ -531,6 +531,22 @@ def test_gain_search_is_the_product_maximisers_gain():
         assert result.evaluations == product.evaluations
         assert result.argmax_state.tobytes() == product.argmax_state.tobytes()
         assert abs(result.value - c_max_prod) <= 1e-15
+
+
+def test_gain_search_checks_its_gate_once(monkeypatch):
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return check_unitary(u)
+
+    monkeypatch.setattr(oracle, "check_unitary", counting)
+    u = haar_random_unitary(4, np.random.default_rng(413))
+    oracle._product_search.cache_clear()
+    for _ in range(2):  # a cold product search, then a memo hit
+        calls.clear()
+        max_delta_concurrence(u)
+        assert len(calls) == 1
 
 
 def test_unrestricted_identity():
