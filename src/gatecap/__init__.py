@@ -10,12 +10,10 @@ from .linalg import (
     DecompositionError,
     DimensionMismatchError,
     NotUnitaryError,
-    SpectralDecomposition,
     check_state,
     check_unitary,
     eig_unitary,
     haar_random_unitary,
-    random_pure_state,
     unitarity_defect,
 )
 from .canonical import (
@@ -83,7 +81,6 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "SignalPair",
-    "SpectralDecomposition",
     "TheoremResidual",
     "binary_entropy",
     "c1_two_pure",
@@ -115,7 +112,6 @@ __all__ = [
     "max_delta_concurrence",
     "min_probe_overlap",
     "mirror_negative_alpha_z",
-    "random_pure_state",
     "relation1_signals",
     "unitarity_defect",
     "verify_relation1",

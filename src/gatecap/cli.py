@@ -209,7 +209,7 @@ def _verify_residual(u: np.ndarray, form, route: str) -> float:
         # c_max_prod = 1 and D_min = 0, so the input's local invariants are
         # also held against those of U_d.
         m = MAGIC_DAG @ u @ MAGIC
-        d_min = hull_min_distance(eig_unitary(m.T @ m).phases)
+        d_min = hull_min_distance(eig_unitary(m.T @ m))
         identity = _residual(capacities_closed_form(form.d), d_min, route).residual
         drift = _makhlin_invariants(u) - _makhlin_invariants(canonical_unitary(form.d))
         return max(identity, float(np.max(np.abs(drift))))

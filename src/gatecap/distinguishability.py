@@ -107,7 +107,7 @@ def d_min_canonical(d) -> float:
 def d_min_geometric(d) -> float:
     """Minimum overlap of U_d vs its adjoint from the actual matrix spectrum."""
     u_d = canonical_unitary(d)
-    return hull_min_distance(eig_unitary(u_d @ u_d).phases)
+    return hull_min_distance(eig_unitary(u_d @ u_d))
 
 
 def _d_min(d, route: str) -> float:

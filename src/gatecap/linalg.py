@@ -1,21 +1,19 @@
 """Dense complex linear algebra for 2x2 and 4x4 matrices.
 
 Provides the matrix primitives the rest of the package is built on: the
-two-qubit gate check and the state check, eigendecomposition of unitary
-matrices with orthonormal eigenvectors even for degenerate spectra, and
-seeded Haar-random sampling.  Tensor products are plain ``np.kron``.
+two-qubit gate check and the state check, the eigenphases of a unitary, the
+common eigenbasis of two commuting real symmetric matrices, and seeded
+Haar-random sampling.  Tensor products are plain ``np.kron``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerance policy.  Inputs from outside are gated once on entry; the
-# algorithms then run without intermediate checks, and every factorisation
-# (eig_unitary, cartan_decompose) is judged once, by reconstructing its input
-# from its output.  A failed output gate raises DecompositionError.
+# algorithms then run without intermediate checks, and the one factorisation
+# (cartan_decompose) is judged once, by reconstructing its input from its
+# output.  A failed output gate raises DecompositionError.
 #   UNITARITY_TOL          input gate: max |U^dag U - I| of a matrix.
 #   STATE_NORM_TOL         input gate: | |psi| - 1 | of a state.
 #   COMMUTING_OFFDIAG_TOL  acceptance test inside simultaneous_diagonalize:
@@ -48,12 +46,7 @@ class NotUnitaryError(ValueError):
 
 
 class DecompositionError(RuntimeError):
-    """A factorisation failed its reconstruction gate."""
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """The decomposition failed its reconstruction gate."""
 
 
 def wrap_angle(theta):
@@ -68,7 +61,7 @@ def wrap_angle(theta):
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U^dag U - I."""
     u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
@@ -97,21 +90,6 @@ def check_state(psi: np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Spectral form of a unitary: phases in (-pi, pi] and orthonormal eigenvectors.
-
-    Eigenvectors are the columns of ``vectors``; ``phases`` is sorted
-    ascending and ``vectors[:, j]`` belongs to eigenvalue ``exp(1j * phases[j])``.
-    """
-
-    phases: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * np.exp(1j * self.phases)) @ dagger(self.vectors)
-
-
 # Unit weights (a, b) of the combinations a*h1 + b*h2 tried in turn by
 # simultaneous_diagonalize.  The angles step by the golden angle, so none is
 # a rational multiple of pi (where the spectra of special gates put their
@@ -120,7 +98,7 @@ _COMBINATIONS = tuple((np.cos(t), np.sin(t)) for t in np.pi * (3 - np.sqrt(5)) *
 
 
 def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Common eigenbasis of two commuting Hermitian (or real symmetric) matrices.
+    """Common eigenbasis of two commuting real symmetric matrices.
 
     Diagonalizes one generic combination a*h1 + b*h2 and accepts its basis
     when the orthogonal combination b*h1 - a*h2 is diagonal in it to
@@ -130,13 +108,12 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     is tried.  When none is accepted (h1 and h2 commute only to about the
     input's unitarity defect) the basis with the smallest off-diagonal
     among those tried is returned for the caller's reconstruction gate to
-    judge.  For real symmetric inputs the returned eigenvector matrix is
-    real orthogonal.
+    judge.  The returned eigenvector matrix is real orthogonal.
     """
     tried = []
     for a, b in _COMBINATIONS:
         _, p = np.linalg.eigh(a * h1 + b * h2)
-        rest = dagger(p) @ (b * h1 - a * h2) @ p
+        rest = p.T @ (b * h1 - a * h2) @ p
         offdiag = np.max(np.abs(rest - np.diag(np.diagonal(rest))))
         if offdiag <= COMMUTING_OFFDIAG_TOL:
             return p
@@ -144,28 +121,15 @@ def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     return min(tried, key=lambda pair: pair[0])[1]
 
 
-def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
+def eig_unitary(u: np.ndarray) -> np.ndarray:
+    """Eigenphases of a two-qubit gate, in (-pi, pi] and sorted ascending.
 
-    Works through the commuting Hermitian pair (U + U^dag)/2 and
-    (U - U^dag)/2i and their common eigenbasis, which stays well conditioned
-    for the degenerate and nearly degenerate spectra of canonical two-qubit
-    operators.  Raises ``DecompositionError`` when the result does not
-    reconstruct ``u`` to ``RECONSTRUCTION_TOL``.
+    A unitary is normal, so its computed eigenvalues are as accurate as the
+    eigensolver's backward error (Bauer-Fike with a unitary eigenbasis); no
+    eigenvector is formed.  An eigenvalue -1 - 0j has angle -pi, which
+    ``wrap_angle`` maps to pi.
     """
-    u = check_unitary(u)
-    h1 = (u + dagger(u)) / 2
-    h2 = (u - dagger(u)) / 2j
-    vecs = simultaneous_diagonalize(h1, h2)
-    eigvals = np.einsum("ij,ik,kj->j", vecs.conj(), u, vecs)
-    phases = wrap_angle(np.angle(eigvals))
-    order = np.argsort(phases, kind="stable")
-    decomp = SpectralDecomposition(phases=phases[order], vectors=vecs[:, order])
-    residual = np.max(np.abs(decomp.reconstruct() - u))
-    if not residual <= RECONSTRUCTION_TOL:
-        raise DecompositionError(
-            f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
-    return decomp
+    return np.sort(wrap_angle(np.angle(np.linalg.eigvals(check_unitary(u)))))
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,11 +140,3 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized state with Haar-uniform direction."""
-    if dim not in (2, 4):
-        raise DimensionMismatchError(f"only dimensions 2 and 4 are supported, got {dim}")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)

@@ -59,6 +59,7 @@ def load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # Nesting deeper than the decoder's recursion limit raises RecursionError.
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
     return matrix_from_json(obj)

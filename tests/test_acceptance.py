@@ -30,7 +30,7 @@ from gatecap.entanglement import (
     concurrence_conjugate_form,
     entropy_of_entanglement,
 )
-from gatecap.linalg import haar_random_unitary, random_pure_state
+from gatecap.linalg import haar_random_unitary
 from gatecap.oracle import (
     max_concurrence_product,
     max_concurrence_unrestricted,
@@ -137,7 +137,7 @@ def test_criterion_6_concurrence_equivalence():
     worst_c = 0.0
     worst_e = 0.0
     for _ in range(1000):
-        psi = random_pure_state(4, rng)
+        psi = haar_random_unitary(4, rng)[:, 0]
         c = concurrence(psi)
         worst_c = max(worst_c, abs(c - concurrence_conjugate_form(psi)))
         want = binary_entropy((1 + np.sqrt(max(1 - c * c, 0.0))) / 2)

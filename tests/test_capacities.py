@@ -12,7 +12,7 @@ from gatecap.capacities import (
     verify_relation2,
 )
 from gatecap.entanglement import concurrence
-from gatecap.linalg import DimensionMismatchError, random_pure_state
+from gatecap.linalg import DimensionMismatchError, haar_random_unitary
 
 PI_4 = np.pi / 4
 
@@ -59,8 +59,8 @@ def test_ensemble_entropy_maximized_at_half():
 def test_relation1_signal_overlap_is_concurrence():
     rng = np.random.default_rng(107)
     for _ in range(20):
-        psi_a = random_pure_state(2, rng)
-        psi_b = random_pure_state(2, rng)
+        psi_a = haar_random_unitary(2, rng)[:, 0]
+        psi_b = haar_random_unitary(2, rng)[:, 0]
         d = np.sort(rng.uniform(0, PI_4, 3))[::-1]
         pair = relation1_signals(d, psi_a, psi_b)
         assert abs(pair.overlap - concurrence(pair.psi1)) <= 1e-12

@@ -135,7 +135,7 @@ def test_unit_distance_implies_degenerate_square():
     d = [PI_4, PI_4, PI_4]
     assert d_min_canonical(d) == 1.0
     u_d = canonical_unitary(d)
-    phases = eig_unitary(u_d @ u_d).phases
+    phases = eig_unitary(u_d @ u_d)
     assert np.max(phases) - np.min(phases) <= 1e-8
 
 

@@ -12,7 +12,7 @@ from gatecap.entanglement import (
     entropy_of_entanglement,
     is_perfect_entangler,
 )
-from gatecap.linalg import DimensionMismatchError, haar_random_unitary, random_pure_state
+from gatecap.linalg import DimensionMismatchError, haar_random_unitary
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PI_4 = np.pi / 4
@@ -46,7 +46,7 @@ def test_concurrence_schmidt_form():
 def test_concurrence_forms_agree():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        psi = random_pure_state(4, rng)
+        psi = haar_random_unitary(4, rng)[:, 0]
         assert abs(concurrence(psi) - concurrence_conjugate_form(psi)) <= 1e-12
     with pytest.raises(DimensionMismatchError):
         concurrence_conjugate_form(np.array([1, 0], dtype=complex))
@@ -55,7 +55,7 @@ def test_concurrence_forms_agree():
 def test_concurrence_local_invariance():
     rng = np.random.default_rng(43)
     for _ in range(50):
-        psi = random_pure_state(4, rng)
+        psi = haar_random_unitary(4, rng)[:, 0]
         dressed = kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)) @ psi
         assert abs(concurrence(dressed) - concurrence(psi)) <= 1e-12
 
@@ -63,7 +63,7 @@ def test_concurrence_local_invariance():
 def test_concurrence_zero_on_kron_products():
     rng = np.random.default_rng(47)
     for _ in range(50):
-        psi = kron(random_pure_state(2, rng), random_pure_state(2, rng))
+        psi = kron(haar_random_unitary(2, rng)[:, 0], haar_random_unitary(2, rng)[:, 0])
         assert concurrence(psi) <= 1e-12
 
 
@@ -80,7 +80,7 @@ def test_entropy_values():
 def test_entropy_matches_concurrence_form():
     rng = np.random.default_rng(53)
     for _ in range(200):
-        psi = random_pure_state(4, rng)
+        psi = haar_random_unitary(4, rng)[:, 0]
         c = concurrence(psi)
         want = binary_entropy((1 + np.sqrt(max(1 - c * c, 0.0))) / 2)
         assert abs(entropy_of_entanglement(psi) - want) <= 1e-10

@@ -16,7 +16,6 @@ from gatecap.linalg import (
     check_unitary,
     eig_unitary,
     haar_random_unitary,
-    random_pure_state,
     unitarity_defect,
 )
 
@@ -42,41 +41,41 @@ def test_kron_mixed_product_property():
 
 
 def test_eig_unitary_identity():
-    decomp = eig_unitary(np.eye(4, dtype=complex))
-    assert np.allclose(decomp.phases, 0.0)
+    assert np.allclose(eig_unitary(np.eye(4, dtype=complex)), 0.0)
 
 
 def test_eig_unitary_diagonal_phases():
-    v = np.diag([1, 1j, -1, -1j]).astype(complex)
-    decomp = eig_unitary(v)
-    assert np.allclose(np.sort(decomp.phases), [-np.pi / 2, 0.0, np.pi / 2, np.pi])
+    # -1 - 0j has angle -pi; the phases lie in (-pi, pi], so it reads pi.
+    for minus_one in (-1, complex(-1, -0.0)):
+        phases = eig_unitary(np.diag([1, 1j, minus_one, -1j]).astype(complex))
+        assert np.allclose(phases, [-np.pi / 2, 0.0, np.pi / 2, np.pi])
+        assert phases[-1] == np.pi
 
 
 def test_eig_unitary_reconstruction():
+    # The phases are the whole spectrum: their sum and product give tr U and det U.
     rng = np.random.default_rng(11)
     for _ in range(50):
         u = haar_random_unitary(4, rng)
-        decomp = eig_unitary(u)
-        assert np.max(np.abs(decomp.reconstruct() - u)) <= 1e-9
-        # orthonormality
-        v = decomp.vectors
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10
+        phases = eig_unitary(u)
+        assert np.all(np.diff(phases) >= 0)
+        assert abs(np.sum(np.exp(1j * phases)) - np.trace(u)) <= 1e-14
+        assert abs(np.prod(np.exp(1j * phases)) - np.linalg.det(u)) <= 1e-14
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
 def test_eig_unitary_near_degenerate_phases(delta):
     # Phase pairs (t, -t + delta) share their cosine and (p, p + delta) their
-    # eigenvalue, to within delta: nearly degenerate in (U + U^dag)/2 alone,
-    # and in both Hermitian parts.
+    # eigenvalue, to within delta.
     rng = np.random.default_rng(211)
     for _ in range(50):
         t, p = rng.uniform(-np.pi, np.pi, 2)
         v = haar_random_unitary(4, rng)
-        u = (v * np.exp(1j * np.array([t, -t + delta, p, p + delta]))) @ v.conj().T
-        decomp = eig_unitary(u)
-        assert np.max(np.abs(decomp.reconstruct() - u)) <= 1e-9
-        w = decomp.vectors
-        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) <= 1e-10
+        phases = np.array([t, -t + delta, p, p + delta])
+        u = (v * np.exp(1j * phases)) @ v.conj().T
+        # Sorted phases match by a cyclic shift, as points on the circle.
+        got, want = np.exp(1j * eig_unitary(u)), np.exp(1j * np.sort(phases))
+        assert min(np.max(np.abs(np.roll(got, k) - want)) for k in range(4)) <= 1e-14
 
 
 def test_eig_unitary_rejects_non_unitary():
@@ -103,13 +102,6 @@ def test_haar_first_moment():
                         for _ in range(20000)])
     # variance of |U00|^2 for dim 2 is 1/12; 3 sigma of the mean
     assert abs(samples.mean() - 0.5) <= 3 * np.sqrt(1 / 12 / samples.size)
-
-
-def test_random_states_normalized_and_deterministic():
-    psi1 = random_pure_state(4, np.random.default_rng(21))
-    psi2 = random_pure_state(4, np.random.default_rng(21))
-    assert np.array_equal(psi1, psi2)
-    assert abs(np.linalg.norm(psi1) - 1.0) <= 1e-12
 
 
 def test_check_state_rejects_unnormalized():
