@@ -23,7 +23,6 @@ from .canonical import (
     eigenphase_vector,
     eigenphases,
     in_weyl_region,
-    mirror_negative_alpha_z,
 )
 from .entanglement import (
     CapacityReport,
@@ -111,7 +110,6 @@ __all__ = [
     "max_concurrence_unrestricted",
     "max_delta_concurrence",
     "min_probe_overlap",
-    "mirror_negative_alpha_z",
     "relation1_signals",
     "unitarity_defect",
     "verify_relation1",

@@ -9,8 +9,8 @@ d = (ax, ay, az) can be brought into the region
 by local-unitary symmetry moves.  This module builds U_d in closed form,
 extracts d from an arbitrary unitary through the spectrum of M^T M in the
 magic basis (Makhlin, 2002), drives d into that region by moves on the
-triple alone, reads the local factors off one match of U_d's magic-basis
-spectrum, and provides the sign-mirror for negative az.
+triple alone, and reads the local factors off one match of U_d's
+magic-basis spectrum.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class CanonicalForm:
     d: np.ndarray
     global_phase: float
     residual: float
-
-    def reconstruct(self) -> np.ndarray:
-        return _compose(self.global_phase, self.x_a, self.x_b, self.d, self.y_a, self.y_b)
 
     def to_json(self) -> dict:
         from .serialization import matrix_to_json
@@ -133,19 +130,6 @@ def canonical_unitary(d) -> np.ndarray:
 def _compose(phase, x_a, x_b, d, y_a, y_b) -> np.ndarray:
     """exp(i*phase) (x_a (x) x_b) U_d (y_a (x) y_b)."""
     return np.exp(1j * phase) * np.kron(x_a, x_b) @ canonical_unitary(d) @ np.kron(y_a, y_b)
-
-
-def mirror_negative_alpha_z(d) -> np.ndarray:
-    """Flip the sign of a negative az component.
-
-    (sz (x) 1) U_d (sz (x) 1) equals the adjoint of the mirrored operator,
-    so capacities and minimum-overlap quantities are unchanged.  A no-op for
-    az >= 0.
-    """
-    ax, ay, az = _as_triple(d)
-    if az >= 0:
-        return np.array([ax, ay, az])
-    return np.array([ax, ay, -az])
 
 
 def _canonical_triple(raw) -> np.ndarray:

@@ -26,15 +26,9 @@ from .canonical import (
     in_weyl_region,
 )
 from .capacities import verify_relation1, verify_relation2
-from .distinguishability import (
-    _residual,
-    d_min_canonical,
-    d_min_geometric,
-    hull_min_distance,
-    verify_theorem,
-)
+from .distinguishability import _residual, d_min_canonical, d_min_geometric, verify_theorem
 from .entanglement import capacities_closed_form
-from .linalg import NotUnitaryError, eig_unitary, haar_random_unitary
+from .linalg import NotUnitaryError, haar_random_unitary
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 from .serialization import MalformedInputError, load_matrix, matrix_to_json
 
@@ -79,7 +73,7 @@ def cmd_analyze(args) -> int:
     caps = capacities_closed_form(form.d)
     d_min = {
         "closed": d_min_canonical(form.d),
-        "geometric": d_min_geometric(form.d),
+        "geometric": d_min_geometric(u),
     }
     if args.numeric:
         u_d = canonical_unitary(form.d)
@@ -203,14 +197,12 @@ def _verify_residual(u: np.ndarray, form, route: str) -> float:
     if route == "closed":
         return verify_theorem(form.d).residual
     if route == "geometric":
-        # D_min from the input itself, not from d: in the magic basis M^T M
-        # has the spectrum of U_d^2 up to a global phase, which only rotates
-        # the hull.  Inside the perfect-entangler region a wrong d still has
-        # c_max_prod = 1 and D_min = 0, so the input's local invariants are
-        # also held against those of U_d.
-        m = MAGIC_DAG @ u @ MAGIC
-        d_min = hull_min_distance(eig_unitary(m.T @ m))
-        identity = _residual(capacities_closed_form(form.d), d_min, route).residual
+        # D_min from the input itself, not from d.  Inside the
+        # perfect-entangler region a wrong d still has c_max_prod = 1 and
+        # D_min = 0, so the input's local invariants are also held against
+        # those of U_d.
+        caps = capacities_closed_form(form.d)
+        identity = _residual(caps, d_min_geometric(u), route).residual
         drift = _makhlin_invariants(u) - _makhlin_invariants(canonical_unitary(form.d))
         return max(identity, float(np.max(np.abs(drift))))
     if route == "numeric":

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _as_triple, canonical_unitary, mirror_negative_alpha_z
+from .canonical import MAGIC, MAGIC_DAG, _as_triple, canonical_unitary
 from .entanglement import CapacityReport, capacities_closed_form, is_perfect_entangler
-from .linalg import ANGLE_TOL, eig_unitary
+from .linalg import ANGLE_TOL, check_unitary, eig_unitary
 
 
 @dataclass(frozen=True)
@@ -93,28 +93,35 @@ def d_min_canonical(d) -> float:
     """Closed-form minimum overlap between U_d and its adjoint.
 
     Zero for perfect entanglers; otherwise cos(2(ax+ay)) when the first
-    perfect-entangler inequality fails and -cos(2(ay+az)) when the second
-    does.  Negative az is mirrored internally.
+    perfect-entangler inequality fails and -cos(2(ay+|az|)) when the second
+    does.
     """
-    ax, ay, az = mirror_negative_alpha_z(_as_triple(d))
+    ax, ay, az = _as_triple(d)
     if is_perfect_entangler((ax, ay, az)):
         return 0.0
     if ax + ay < np.pi / 4:
         return float(np.cos(2 * (ax + ay)))
-    return float(-np.cos(2 * (ay + az)))
+    return float(-np.cos(2 * (ay + abs(az))))
 
 
-def d_min_geometric(d) -> float:
-    """Minimum overlap of U_d vs its adjoint from the actual matrix spectrum."""
-    u_d = canonical_unitary(d)
-    return hull_min_distance(eig_unitary(u_d @ u_d))
+def d_min_geometric(u) -> float:
+    """Minimum overlap of U_d vs its adjoint, read from a gate U ~ U_d.
+
+    In the magic basis M = MAGIC^dag U MAGIC, M^T M is a local invariant
+    with the spectrum of U_d^2 up to a global phase, which only rotates the
+    hull (Makhlin, 2002); so no decomposition of U is needed.  ``u`` is
+    checked first: a complex-orthogonal M that is not unitary also has
+    M^T M = I.
+    """
+    m = MAGIC_DAG @ check_unitary(u) @ MAGIC
+    return hull_min_distance(eig_unitary(m.T @ m))
 
 
 def _d_min(d, route: str) -> float:
     if route == "closed":
         return d_min_canonical(d)
     if route == "geometric":
-        return d_min_geometric(d)
+        return d_min_geometric(canonical_unitary(d))
     raise ValueError(f"unknown route {route!r}; expected 'closed' or 'geometric'")
 
 

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (
-    PI_4,
-    _as_triple,
-    eigenphase_vector,
-    mirror_negative_alpha_z,
-)
+from .canonical import PI_4, _as_triple, eigenphase_vector
 from .linalg import SIGMA_YY, check_state
 
 
@@ -87,13 +82,11 @@ def entropy_of_entanglement(state) -> float:
 def is_perfect_entangler(d) -> bool:
     """Whether U_d maps some product state to a maximally entangled state.
 
-    Requires az >= 0 (mirror first); true iff ax + ay >= pi/4 and
-    ay + az <= pi/4, with the boundary counting as satisfied.
+    True iff ax + ay >= pi/4 and ay + |az| <= pi/4, with the boundary
+    counting as satisfied.
     """
     ax, ay, az = _as_triple(d)
-    if az < 0:
-        raise ValueError("is_perfect_entangler requires az >= 0; mirror the triple first")
-    return (ax + ay >= PI_4) and (ay + az <= PI_4)
+    return (ax + ay >= PI_4) and (ay + abs(az) <= PI_4)
 
 
 def capacities_closed_form(d) -> CapacityReport:
@@ -103,10 +96,14 @@ def capacities_closed_form(d) -> CapacityReport:
     the largest |sin| of an eigenphase difference, and the unrestricted
     capacity ``c_max`` is its square root, the square root of the largest
     tangle gain C(U psi)^2 - C(psi)^2 over pure inputs.  The largest plain
-    gain C(U psi) - C(psi) equals ``c_max_prod``.  Negative az is mirrored
-    internally.
+    gain C(U psi) - C(psi) equals ``c_max_prod``.
+
+    Either sign of az is taken as it is: (sz (x) 1) U_d (sz (x) 1) is the
+    adjoint of U_d with az negated, so flipping az negates the set of
+    eigenphases, which leaves every |sin| of a difference, the
+    perfect-entangler test and the minimum overlap unchanged.
     """
-    d = mirror_negative_alpha_z(_as_triple(d))
+    d = _as_triple(d)
     if is_perfect_entangler(d):
         return CapacityReport(c_max_prod=1.0, c_max=1.0, e_max_prod=1.0,
                               perfect_entangler=True)

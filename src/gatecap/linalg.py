@@ -71,8 +71,11 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"expects a 4x4 unitary, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("matrix contains non-finite entries")
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
+    # Finite entries near the float limit can overflow the defect to inf or
+    # NaN, which must fail the gate rather than slip past the comparison.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = unitarity_defect(u)
+    if not defect <= UNITARITY_TOL:
         raise NotUnitaryError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
     return u
 

@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer binds must exist in gatecap.
+"""The names the benchmark binds must exist in gatecap.
 
 perfbench/tracing.py wraps each (module, function) of its LAYERS and
-gatecap.oracle.minimize, and perfbench/run.py reads SearchConfig().tolerance;
-a traced run fails if one of them is renamed or deleted.  The tracer is
-only read here, never installed.
+gatecap.oracle.minimize, perfbench/run.py reads SearchConfig().tolerance,
+the certify workload calls five package-level entry points and
+perfbench/analyze_child.py calls gatecap.cli.main; a benchmark run fails if
+one of them is renamed or deleted.  The tracer is only read here, never
+installed.
 """
 
 import importlib
@@ -34,3 +36,17 @@ def test_search_tolerance_resolves():
     # perfbench/run.py reads gatecap.SearchConfig().tolerance in every traced run.
     tolerance = gatecap.SearchConfig().tolerance
     assert isinstance(tolerance, float) and 0 < tolerance < float("inf")
+
+
+@pytest.mark.parametrize("module, name", [
+    # perfbench/workloads.py: the certify workload, outside the tracer.
+    ("gatecap", "max_concurrence_product"),
+    ("gatecap", "max_concurrence_unrestricted"),
+    ("gatecap", "max_delta_concurrence"),
+    ("gatecap", "verify_relation1"),
+    ("gatecap", "verify_relation2"),
+    # perfbench/analyze_child.py: the traced cli-analyze child.
+    ("gatecap.cli", "main"),
+])
+def test_entry_point_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name))

@@ -74,7 +74,6 @@ def test_analyze_deterministic_output(write_matrix, capsys):
 
 
 def test_analyze_computes_the_spectrum_once(write_matrix, monkeypatch, capsys):
-    import gatecap.cli as cli
     import gatecap.distinguishability as dist
 
     calls = []
@@ -83,8 +82,7 @@ def test_analyze_computes_the_spectrum_once(write_matrix, monkeypatch, capsys):
         calls.append(u)
         return eig_unitary(u)
 
-    for module in (cli, dist):
-        monkeypatch.setattr(module, "eig_unitary", counting)
+    monkeypatch.setattr(dist, "eig_unitary", counting)
     path = write_matrix(haar_random_unitary(4, np.random.default_rng(5)))
     assert main(["analyze", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -144,6 +142,13 @@ def test_verify_out_directory(tmp_path, capsys):
 
 def test_analyze_non_unitary(write_matrix, capsys):
     assert main(["analyze", write_matrix(np.ones((4, 4), dtype=complex))]) == 3
+    assert "not-unitary" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_matrix_whose_defect_overflows(write_matrix, capsys):
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = 1e308 + 1e308j
+    assert main(["analyze", write_matrix(u)]) == 3
     assert "not-unitary" in capsys.readouterr().err
 
 
@@ -366,21 +371,26 @@ def test_verify_decomposes_each_trial_once(tmp_path, monkeypatch, capsys):
     assert out.read_text().strip().splitlines() == want
 
 
+def _dressed_non_perfect_entangler():
+    """A dressed U_d with d = (0.3, 0.1, 0.05), where both terms of the
+    identity move with d."""
+    rng = np.random.default_rng(19)
+    return (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            @ canonical_unitary([0.3, 0.1, 0.05])
+            @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+
+
+def _shifted_by_0_05(v):
+    form = cartan_decompose(v)
+    return dataclasses.replace(form, d=form.d + [0.05, 0.0, 0.0])
+
+
 def test_verify_geometric_route_catches_wrong_triple(monkeypatch, capsys):
-    # A non-perfect entangler, where both terms of the identity move with d.
     import gatecap.cli as cli
 
-    rng = np.random.default_rng(19)
-    u = (kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
-         @ canonical_unitary([0.3, 0.1, 0.05])
-         @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
-
-    def shifted(v):
-        form = cartan_decompose(v)
-        return dataclasses.replace(form, d=form.d + [0.05, 0.0, 0.0])
-
+    u = _dressed_non_perfect_entangler()
     monkeypatch.setattr(cli, "haar_random_unitary", lambda n, rng: u)
-    monkeypatch.setattr(cli, "cartan_decompose", shifted)
+    monkeypatch.setattr(cli, "cartan_decompose", _shifted_by_0_05)
     assert main(["verify", "--trials", "1", "--routes", "closed"]) == 0
     assert main(["verify", "--trials", "1", "--routes", "geometric"]) == 1
     # The identity moves by 9.9e-2 and the local invariants by 0.19; the
@@ -388,6 +398,18 @@ def test_verify_geometric_route_catches_wrong_triple(monkeypatch, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     assert f"max residual {_input_hull_residual(u, [0.35, 0.1, 0.05]):.6e}" in line
     assert "max residual 1.9" in line
+
+
+def test_analyze_theorem_catches_wrong_triple(write_matrix, monkeypatch, capsys):
+    # The theorem residuals read D_min from the input, so a triple moved off
+    # the input's class shows in them.
+    import gatecap.cli as cli
+
+    monkeypatch.setattr(cli, "cartan_decompose", _shifted_by_0_05)
+    assert main(["analyze", write_matrix(_dressed_non_perfect_entangler()), "--json"]) == 0
+    theorem = json.loads(capsys.readouterr().out)["theorem"]
+    assert theorem["quadratic"]["residual"] > 1e-3
+    assert theorem["quartic"]["residual"] > 1e-3
 
 
 def test_verify_geometric_route_catches_wrong_perfect_entangler(monkeypatch, capsys):

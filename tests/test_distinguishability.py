@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy import kron
 
-from gatecap.canonical import canonical_unitary
+from gatecap.canonical import MAGIC, MAGIC_DAG, canonical_unitary
 from gatecap.distinguishability import (
     d_min_canonical,
     d_min_geometric,
@@ -13,7 +14,7 @@ from gatecap.distinguishability import (
     verify_theorem_quartic,
 )
 from gatecap.entanglement import is_perfect_entangler
-from gatecap.linalg import eig_unitary, haar_random_unitary
+from gatecap.linalg import NotUnitaryError, eig_unitary, haar_random_unitary
 
 PI_4 = np.pi / 4
 
@@ -103,7 +104,32 @@ def test_d_min_closed_matches_geometry():
     for _ in range(200):
         ax, ay = np.sort(rng.uniform(0, PI_4, 2))[::-1]
         d = np.array([ax, ay, rng.uniform(-ay, ay)])
-        assert abs(d_min_canonical(d) - d_min_geometric(d)) <= 1e-10
+        assert abs(d_min_canonical(d) - d_min_geometric(canonical_unitary(d))) <= 1e-10
+
+
+def test_d_min_geometric_reads_a_dressed_gate():
+    # Local factors and a global phase leave the spectrum of M^T M, up to a
+    # rotation, and so the hull distance unchanged.
+    rng = np.random.default_rng(89)
+    for _ in range(100):
+        ax, ay = np.sort(rng.uniform(0, PI_4, 2))[::-1]
+        d = np.array([ax, ay, rng.uniform(-ay, ay)])
+        u = (np.exp(1j * rng.uniform(-np.pi, np.pi))
+             * kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+             @ canonical_unitary(d)
+             @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
+        assert abs(d_min_canonical(d) - d_min_geometric(u)) <= 1e-10
+
+
+def test_d_min_geometric_rejects_a_complex_orthogonal_non_unitary():
+    # M = cosh(t) I + sinh(t) Y on one block has M^T M = I, the spectrum of
+    # the identity, yet the gate it stands for is not unitary.
+    c, s = np.cosh(1.0), np.sinh(1.0)
+    m = np.eye(4, dtype=complex)
+    m[:2, :2] = [[c, 1j * s], [-1j * s, c]]
+    assert np.max(np.abs(m.T @ m - np.eye(4))) <= 1e-12
+    with pytest.raises(NotUnitaryError):
+        d_min_geometric(MAGIC @ m @ MAGIC_DAG)
 
 
 def test_verify_theorem_examples():

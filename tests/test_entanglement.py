@@ -92,9 +92,11 @@ def test_perfect_entangler_cases():
     assert not is_perfect_entangler([PI_4, PI_4, PI_4])
 
 
-def test_perfect_entangler_rejects_negative_az():
-    with pytest.raises(ValueError):
-        is_perfect_entangler([PI_4, np.pi / 8, -np.pi / 16])
+def test_perfect_entangler_takes_either_sign_of_az():
+    # ay + az <= pi/4 holds for the last triple; ay + |az| does not.
+    assert is_perfect_entangler([PI_4, np.pi / 8, -np.pi / 16])
+    assert not is_perfect_entangler([PI_4, PI_4 - 0.01, 0.1])
+    assert not is_perfect_entangler([PI_4, PI_4 - 0.01, -0.1])
 
 
 def test_capacities_identity():

@@ -116,6 +116,15 @@ def test_check_unitary_rejects_bad_dimension():
         check_state(np.array([1.0, 0.0]), 4)
 
 
+def test_check_unitary_rejects_a_defect_that_overflows():
+    # Finite entries whose U^dag U overflows: the defect is NaN, which no
+    # comparison with the tolerance may let through.
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = 1e308 + 1e308j
+    with pytest.raises(NotUnitaryError):
+        check_unitary(u)
+
+
 def test_check_unitary_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         check_unitary(np.ones((2, 3)))
