@@ -25,7 +25,6 @@ from .linalg import (
     RECONSTRUCTION_TOL,
     DecompositionError,
     check_unitary,
-    simultaneous_diagonalize,
     wrap_angle,
 )
 
@@ -178,18 +177,37 @@ def _kron_factor(m: np.ndarray):
     return g / abs(g), a, b
 
 
+def _magic_eigenbasis(m2: np.ndarray) -> np.ndarray:
+    """Real orthogonal eigenbasis P of M^T M = P diag(exp(i theta)) P^T.
+
+    Re(exp(-i phi) M^T M) is real symmetric with the same eigenvectors and
+    eigenvalues cos(theta_k - phi); two of those tie only where phi bisects
+    theta_j and theta_k modulo pi.  phi is put halfway across the widest gap
+    between the six bisectors, which is at least pi/6, so every pair stays
+    at least sin(pi/12) times as far apart as in M^T M, and one eigh of the
+    symmetrised real part is the basis.
+    """
+    theta = np.angle(np.linalg.eigvals(m2))
+    bisectors = np.sort(np.mod([(a + b) / 2 for a, b in itertools.combinations(theta, 2)], np.pi))
+    gaps = np.diff(np.append(bisectors, bisectors[0] + np.pi))
+    widest = np.argmax(gaps)
+    h = (np.exp(-1j * (bisectors[widest] + gaps[widest] / 2)) * m2).real
+    return np.linalg.eigh((h + h.T) / 2)[1]
+
+
 def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     """Canonical decomposition of a 4x4 unitary.
 
     The input is normalized to unit determinant (the principal fourth root
     of det(U) becomes the global phase) and transformed to the magic basis,
-    M = k1 diag(a) p^T with k1, p real orthogonal from the diagonalization
-    of M^T M.  The triple read off a is driven into the standard region on
-    its own.  The local factors then come from one match of spectra: the
-    moves only reorder the magic diagonal t of U_d(d), flip its signs and
-    multiply it by a power of i, so a = g s t[perm] with g in {1, i}, and
-    the best of the 2 x 24 candidates gives k1 diag(s) Q and (p Q)^T, both
-    real orthogonal with unit determinant, as the two local factors.
+    M = k1 diag(a) p^T with k1, p real orthogonal and p the eigenbasis of
+    M^T M from one eigh.  The triple read off a is driven into the standard
+    region on its own.  The local factors then come from one match of
+    spectra: the moves only reorder the magic diagonal t of U_d(d), flip its
+    signs and multiply it by a power of i, so a = g s t[perm] with g in
+    {1, i}, and the best of the 2 x 24 candidates gives k1 diag(s) Q and
+    (p Q)^T, both real orthogonal with unit determinant, as the two local
+    factors.
     Raises ``DecompositionError`` when the result does not reconstruct
     ``u`` to ``RECONSTRUCTION_TOL``.
     """
@@ -201,8 +219,7 @@ def cartan_decompose(u: np.ndarray) -> CanonicalForm:
 
     m = MAGIC_DAG @ u_su @ MAGIC
     m2 = m.T @ m
-    re, im = m2.real, m2.imag
-    p = simultaneous_diagonalize((re + re.T) / 2, (im + im.T) / 2)
+    p = _magic_eigenbasis(m2)
     eigvals = np.einsum("ij,ik,kj->j", p, m2, p)
 
     mu = np.angle(eigvals) / 2

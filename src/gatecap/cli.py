@@ -225,16 +225,17 @@ def cmd_verify(args) -> int:
                                       "expected closed, geometric or numeric")
     rng = np.random.default_rng(args.seed)
     residuals = {route: [] for route in routes}
+    worst = {}  # route -> (residual, trial, input) of its worst trial so far
     rows = []
-    inputs = []
     for trial in range(args.trials):
         u = haar_random_unitary(4, rng)
-        inputs.append(u)
         form = cartan_decompose(u)
         for route in routes:
             r = _verify_residual(u, form, route)
             residuals[route].append(r)
             rows.append((trial, route, r))
+            if route not in worst or r > worst[route][0]:
+                worst[route] = (r, trial, u)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("trial,route,residual\n")
@@ -245,13 +246,13 @@ def cmd_verify(args) -> int:
         values = np.array(residuals[route])
         ok = bool(np.max(values) <= args.tol)
         failed = failed or not ok
-        worst = int(np.argmax(values))
+        _, trial, u = worst[route]
         # `random` draws its matrices from the same generator in the same
-        # order, so --count worst + 1 ends on the worst trial's input.
+        # order, so --count trial + 1 ends on the worst trial's input.
         print(f"route {route:<10} trials {args.trials:<6} "
               f"max residual {np.max(values):.6e}  mean {np.mean(values):.6e}  "
               f"{'pass' if ok else 'FAIL'} (tol {args.tol:g})  "
-              f"worst trial {worst} seed {args.seed} sha256 {_input_hash(inputs[worst])}")
+              f"worst trial {trial} seed {args.seed} sha256 {_input_hash(u)}")
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 

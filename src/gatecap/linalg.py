@@ -1,9 +1,8 @@
 """Dense complex linear algebra for 2x2 and 4x4 matrices.
 
 Provides the matrix primitives the rest of the package is built on: the
-two-qubit gate check and the state check, the eigenphases of a unitary, the
-common eigenbasis of two commuting real symmetric matrices, and seeded
-Haar-random sampling.  Tensor products are plain ``np.kron``.
+two-qubit gate check and the state check, the eigenphases of a unitary, and
+seeded Haar-random sampling.  Tensor products are plain ``np.kron``.
 """
 
 from __future__ import annotations
@@ -11,20 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 # Tolerance policy.  Inputs from outside are gated once on entry; the
-# algorithms then run without intermediate checks, and the one factorisation
+# algorithms then run without intermediate checks (matrices derived from a
+# gate, such as M^T M, are not checked again), and the one factorisation
 # (cartan_decompose) is judged once, by reconstructing its input from its
 # output.  A failed output gate raises DecompositionError.
-#   UNITARITY_TOL          input gate: max |U^dag U - I| of a matrix.
-#   STATE_NORM_TOL         input gate: | |psi| - 1 | of a state.
-#   COMMUTING_OFFDIAG_TOL  acceptance test inside simultaneous_diagonalize:
-#                          largest off-diagonal entry of the orthogonal
-#                          combination in an accepted eigh basis.
-#   RECONSTRUCTION_TOL     output gate: max entry of the reconstruction error.
-#   ANGLE_TOL              boundary tolerance in radians: the faces of the
-#                          Weyl region and a hull gap of exactly pi.
+#   UNITARITY_TOL       input gate: max |U^dag U - I| of a matrix.
+#   STATE_NORM_TOL      input gate: | |psi| - 1 | of a state.
+#   RECONSTRUCTION_TOL  output gate: max entry of the reconstruction error.
+#   ANGLE_TOL           boundary tolerance in radians: the faces of the
+#                       Weyl region and a hull gap of exactly pi.
 UNITARITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
-COMMUTING_OFFDIAG_TOL = 1e-13
 RECONSTRUCTION_TOL = 1e-9
 ANGLE_TOL = 1e-12
 
@@ -91,37 +87,6 @@ def check_state(psi: np.ndarray, dim: int) -> np.ndarray:
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1):.3e}")
     return psi
-
-
-# Unit weights (a, b) of the combinations a*h1 + b*h2 tried in turn by
-# simultaneous_diagonalize.  The angles step by the golden angle, so none is
-# a rational multiple of pi (where the spectra of special gates put their
-# bisectors) and no two lie close modulo pi.
-_COMBINATIONS = tuple((np.cos(t), np.sin(t)) for t in np.pi * (3 - np.sqrt(5)) * np.arange(1, 9))
-
-
-def simultaneous_diagonalize(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Common eigenbasis of two commuting real symmetric matrices.
-
-    Diagonalizes one generic combination a*h1 + b*h2 and accepts its basis
-    when the orthogonal combination b*h1 - a*h2 is diagonal in it to
-    ``COMMUTING_OFFDIAG_TOL`` (absolute; the inputs have norm about 1).  A
-    generic combination separates every joint eigenpair however close the
-    spectra of h1 and h2 are on their own.  Otherwise the next pair (a, b)
-    is tried.  When none is accepted (h1 and h2 commute only to about the
-    input's unitarity defect) the basis with the smallest off-diagonal
-    among those tried is returned for the caller's reconstruction gate to
-    judge.  The returned eigenvector matrix is real orthogonal.
-    """
-    tried = []
-    for a, b in _COMBINATIONS:
-        _, p = np.linalg.eigh(a * h1 + b * h2)
-        rest = p.T @ (b * h1 - a * h2) @ p
-        offdiag = np.max(np.abs(rest - np.diag(np.diagonal(rest))))
-        if offdiag <= COMMUTING_OFFDIAG_TOL:
-            return p
-        tried.append((offdiag, p))
-    return min(tried, key=lambda pair: pair[0])[1]
 
 
 def eig_unitary(u: np.ndarray) -> np.ndarray:

@@ -178,10 +178,11 @@ def test_decompose_near_degenerate_classes(name):
 @pytest.mark.parametrize("delta", [1e-12, 1e-11, 1e-10])
 def test_decompose_every_input_the_unitarity_gate_accepts(delta):
     # Haar gates and dressed named classes, each entry moved by at most
-    # delta / 2.  The real and imaginary parts of M^T M then commute only to
-    # about the defect, so no eigh basis may pass the acceptance test; the
-    # decomposition must still succeed, with an error of the defect's order,
-    # and the eigenphases may move by no more.
+    # delta / 2.  M^T M is then unitary and symmetric only to about the
+    # defect, and its own defect can exceed the input's by a few times; the
+    # decomposition and the geometric D_min must still succeed, the first
+    # with an error of the defect's order, and the eigenphases may move by
+    # no more.
     rng = np.random.default_rng(12)
     gates = [haar_random_unitary(4, rng) for _ in range(300)]
     gates += [_dress(d, rng) for d in DEGENERATE_CLASSES.values() for _ in range(10)]
@@ -193,10 +194,40 @@ def test_decompose_every_input_the_unitarity_gate_accepts(delta):
                 cartan_decompose(v)
             continue
         form = cartan_decompose(v)
+        d_min_geometric(v)
         assert form.residual <= 10 * delta, (delta, form.residual)
         # Sorted phases match by a cyclic shift, as points on the circle.
         z_u, z_v = np.exp(1j * eig_unitary(u)), np.exp(1j * eig_unitary(v))
         assert min(np.max(np.abs(np.roll(z_v, k) - z_u)) for k in range(4)) <= 10 * delta
+
+
+def _near_face(face, eps, rng):
+    """A triple within eps of one face of the region, or of the
+    perfect-entangler face ax + ay = pi/4 from either side."""
+    ax, ay = rng.uniform(0.45, 0.7), rng.uniform(0.1, 0.4)
+    if face == "ax=ay":
+        ay = ax - eps
+    elif face == "ax=pi/4":
+        ax = PI_4 - eps
+    elif face == "ax+ay=pi/4":
+        ay = PI_4 - ax + eps * rng.choice([-1, 1])
+    az = rng.uniform(-ay, ay)
+    if face == "ay=|az|":
+        az = rng.choice([-1, 1]) * (ay - eps)
+    return np.array([ax, ay, az])
+
+
+def test_decompose_clean_gates_to_round_off():
+    # Exactly unitary inputs rebuild to a few ulps: Haar draws, and dressed
+    # gates just off the faces, where two eigenphases of M^T M nearly meet.
+    rng = np.random.default_rng(7)
+    gates = [haar_random_unitary(4, rng) for _ in range(300)]
+    rng = np.random.default_rng(47)
+    for face in ("ax=ay", "ay=|az|", "ax=pi/4", "ax+ay=pi/4"):
+        for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+            gates += [_dress(_near_face(face, eps, rng), rng) for _ in range(10)]
+    for u in gates:
+        assert cartan_decompose(u).residual <= 5e-15
 
 
 def test_decompose_face_tie_break():
