@@ -2,10 +2,9 @@
 
 Each search refines its starts by one Riemannian Newton ascent on unit
 vectors, all restarts as the columns of one array.  The unrestricted search
-starts from the best of a coarse pool of inputs and the probe search from
-seeded random probes; the product search runs alternating Autonne-Takagi
-ascent over its two qubits from the best of a grid and then polishes its
-best first qubit, and the gain search returns that product maximiser's gain.
+starts from the best of a coarse pool of inputs, the probe search from
+seeded random probes and the product search from the best points of a grid
+over its first qubit; the gain search returns that product maximiser's gain.
 The searches never call the closed forms or the spectral geometry they
 check; agreement between the routes is asserted in the test suite.
 """
@@ -32,19 +31,19 @@ class SearchConfig:
     scans an n x n (theta, phi) grid over its first qubit, the unrestricted
     search scores n^3 Haar-random inputs.  ``restarts`` is how many of the
     best pool points (for the probe search, seeded random probes) are
-    refined, all together; the gain search refines none, as it returns the
-    product maximiser.  ``refine_iterations`` caps the steps of each sphere
-    ascent and the product search's alternating sweeps.
-    The product search's alternating sweeps end once the start of highest
-    value gains at most ``tolerance`` in a sweep; ``tolerance`` squared is
-    the length of a Newton step (for small steps, the angle moved) below
-    which a sphere ascent stops a start.  A start also stops once its last
-    Newton step was predicted to gain at most one ulp of its value, and the
-    ascent ends once no live start is above the best stopped one.
+    refined, all together, and ``product_restarts`` how many of the best
+    grid points the product search refines; the gain search refines none,
+    as it returns the product maximiser.  ``refine_iterations`` caps the
+    steps of each sphere ascent.  ``tolerance`` squared is the length of a
+    Newton step (for small steps, the angle moved) below which a sphere
+    ascent stops a start.  A start also stops once its last Newton step was
+    predicted to gain at most one ulp of its value, and the ascent ends once
+    no live start is above the best stopped one.
     """
 
     coarse_grid_per_angle: ClassVar[int] = 24
     restarts: ClassVar[int] = 32
+    product_restarts: ClassVar[int] = 8
     refine_iterations: ClassVar[int] = 200
     tolerance: ClassVar[float] = 1e-6
     seed: int = 0
@@ -141,12 +140,9 @@ def max_concurrence_product(u: np.ndarray) -> SearchResult:
     M(a) = sum_ik a_i a_k G[i, :, k, :], whose maximum over unit b is
     sigma_max(M(a)), reached at its top Autonne-Takagi vector.  The search
     scores a ``coarse_grid_per_angle`` squared (theta, phi) grid over a,
-    runs alternating a/b Takagi ascent from the best ``restarts`` grid
-    points together until the start of highest value gains no more than
-    ``tolerance`` in a sweep (at most ``refine_iterations`` sweeps), polishes
-    that start's a by sphere ascent on sigma_max(M(a))^2, and returns
-    a (x) b.  The other starts are left where they are, as only the best is
-    polished.  Each evaluation is one 2x2 singular value.
+    refines the best ``product_restarts`` grid points together by sphere
+    ascent on sigma_max(M(a))^2, and returns a (x) b for the best refined a.
+    Each evaluation is one 2x2 singular value.
 
     The search reads no seed.  The last one is memoised, keyed by the
     matrix's entries: asked again for the same gate, as the gain search does
@@ -181,29 +177,14 @@ def _product_search(entries: bytes) -> SearchResult:
 
     a = _qubit_grid()
     values = _sigma_max(_contract(g, a))
-    evaluations = values.size
-
-    order = np.argsort(values)[::-1][:SearchConfig.restarts]
-    a, values = a[order], values[order]
-    # The polish below climbs to a tangent step of tolerance squared, so the
-    # sweeps only need to bring the best start near the top, and they end once
-    # that start gains no more than tolerance: only it is polished.
-    for _ in range(SearchConfig.refine_iterations):
-        b, _ = _takagi_top(_contract(g, a))
-        a, improved = _takagi_top(_contract(g_swapped, b))
-        evaluations += 2 * a.shape[0]
-        best = np.argmax(improved)
-        if improved[best] - values[best] <= SearchConfig.tolerance:
-            break
-        values = improved
-
-    polish = minimize(_product_objective(g, g_swapped), a[[best]].T)
-    a = polish.states[:, 0]
+    starts = a[np.argsort(values)[::-1][:SearchConfig.product_restarts]]
+    refined = minimize(_product_objective(g, g_swapped), starts.T)
+    a = refined.states[:, np.argmax(refined.values)]
     b, _ = _takagi_top(_contract(g, a))
     state = np.kron(a, b)
     state.flags.writeable = False
     return SearchResult(value=min(float(_concurrence(u @ state)), 1.0), argmax_state=state,
-                        evaluations=evaluations + polish.nfev)
+                        evaluations=values.size + refined.nfev)
 
 
 def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,10 @@ def _complex_from_pair(item) -> complex:
     if (not isinstance(item, (list, tuple)) or len(item) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)):
         raise MalformedInputError(f"expected a [re, im] pair, got {item!r}")
-    return complex(item[0], item[1])
+    try:
+        return complex(item[0], item[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise MalformedInputError(f"entry out of the float range: {exc}") from exc
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -119,6 +119,17 @@ def test_analyze_malformed_file(tmp_path, capsys):
             assert "malformed-input" in capsys.readouterr().err
 
 
+def test_analyze_integer_beyond_the_float_range(tmp_path, capsys):
+    # JSON integers are exact, so one can be too large to become a float.
+    doc = matrix_to_json(np.eye(4))
+    doc["entries"][0][0][0] = 10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "decompose", "capacities"):
+        assert main([command, str(path)]) == 2, command
+        assert "malformed-input" in capsys.readouterr().err
+
+
 def test_analyze_boolean_dim(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text('{"dim": true, "entries": [[[1.0, 0.0]]]}')

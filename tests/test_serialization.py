@@ -51,6 +51,13 @@ def test_matrix_rejects_booleans():
         matrix_from_json({"dim": 1, "entries": [[[1.0, False]]]})
 
 
+def test_matrix_rejects_integers_beyond_the_float_range():
+    with pytest.raises(MalformedInputError):
+        matrix_from_json({"dim": 1, "entries": [[[10 ** 400, 0]]]})
+    with pytest.raises(MalformedInputError):
+        matrix_from_json({"dim": 1, "entries": [[[0, -10 ** 400]]]})
+
+
 def test_file_round_trip(tmp_path):
     path = str(tmp_path / "u.json")
     u = haar_random_unitary(4, np.random.default_rng(127))
