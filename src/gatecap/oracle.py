@@ -193,18 +193,31 @@ def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0)
 
 
+# The index pairs (i, j), i <= j, of the ten monomials psi_i psi_j of a
+# quadratic form psi^T G psi on two qubits.
+_UPPER = np.triu_indices(4)
+
+
 @functools.lru_cache(maxsize=4)
-def _seeded_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``coarse_grid_per_angle`` cubed random states from seed, and their concurrences.
+def _seeded_pool(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``coarse_grid_per_angle`` cubed random states from seed, their monomials and tangles.
+
+    Returns the (4, N) states, the (10, N) monomials psi_i psi_j (i <= j, in
+    the order of ``_UPPER``) and the tangles C(psi)^2.  The unrestricted
+    search scores the pool as a quadratic form in the monomials, not through
+    ``u @ pool``: that (4, 4) @ (4, N) product is wide enough for OpenBLAS
+    to hand it to its worker threads, which then spin for milliseconds
+    beside the single-threaded refinement that follows.
 
     Drawn once per seed: the unrestricted searches of every gate share
     their pool, and the arrays are read-only because every caller gets the
     same ones.
     """
     pool = _random_states(SearchConfig.coarse_grid_per_angle ** 3, np.random.default_rng(seed))
-    concurrence = _concurrence(pool)
-    pool.flags.writeable = concurrence.flags.writeable = False
-    return pool, concurrence
+    monomials = pool[_UPPER[0]] * pool[_UPPER[1]]
+    tangle = _concurrence(pool) ** 2
+    pool.flags.writeable = monomials.flags.writeable = tangle.flags.writeable = False
+    return pool, monomials, tangle
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,10 +406,20 @@ def max_concurrence_unrestricted(u: np.ndarray,
     only, the best ``restarts`` of them are refined together by sphere
     ascent with no other seed, and the value is recomputed from the best
     returned state.
+
+    The pool's values are |psi^T G psi|^2 - C(psi)^2, G = U^T (sy (x) sy) U,
+    the tangle-gain objective's own form: ten axpys of the pool's cached
+    monomials, weighted by G's upper triangle with its off-diagonal entries
+    doubled.  They are not computed from ``u @ pool``, the one product wide
+    enough to wake OpenBLAS's worker threads (see ``_seeded_pool``).
     """
     u = check_unitary(u)
-    pool, pool_concurrence = _seeded_pool(cfg.seed)
-    values = _concurrence(u @ pool) ** 2 - pool_concurrence ** 2
+    pool, monomials, tangle = _seeded_pool(cfg.seed)
+    coefficients = ((2 - np.eye(4)) * (u.T @ SIGMA_YY @ u))[_UPPER]
+    z = coefficients[0] * monomials[0]
+    for c, monomial in zip(coefficients[1:], monomials[1:]):
+        z += c * monomial
+    values = z.real ** 2 + z.imag ** 2 - tangle
     best = np.argpartition(values, -SearchConfig.restarts)[-SearchConfig.restarts:]
     starts = pool[:, best[np.argsort(values[best])[::-1]]]
     refined = minimize(_tangle_gain_objective(u), starts)

@@ -1,6 +1,7 @@
 """Tests for the brute-force search oracles."""
 
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -288,11 +289,12 @@ def test_ascend_climbs_a_nearly_flat_objective():
 
 
 def test_seeded_pool_is_drawn_once_and_read_only():
-    pool, pool_concurrence = oracle._seeded_pool(0)
+    pool, monomials, tangle = oracle._seeded_pool(0)
     assert pool is oracle._seeded_pool(0)[0]
     assert np.array_equal(pool, _random_states(13824, np.random.default_rng(0)))
-    assert np.array_equal(pool_concurrence, _concurrence(pool))
-    for array in (pool, pool_concurrence):
+    assert np.array_equal(monomials, [pool[i] * pool[j] for i in range(4) for j in range(i, 4)])
+    assert np.array_equal(tangle, _concurrence(pool) ** 2)
+    for array in (pool, monomials, tangle):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -449,6 +451,59 @@ def test_search_values_lie_in_the_unit_interval_on_exact_classes(name):
                        max_delta_concurrence):
             assert 0 <= search(u).value <= 1, (search.__name__, name)
         assert 0 <= min_probe_overlap(u @ u).value <= 1, name
+
+
+class _Starts(Exception):
+    """Raised by a stand-in for ``minimize`` to hand back the starts it was given."""
+
+
+@pytest.mark.parametrize("gates", ["haar", "special_classes"])
+def test_pool_score_picks_the_starts_of_the_direct_form(gates, monkeypatch):
+    # The reference scores the pool directly, C(U psi)^2 - C(psi)^2 through
+    # u @ pool; the search must refine the same starts in the same order.
+    # The two scores differ by round-off, well below 1e-14, so the order of
+    # any best scores apart by more than that is fixed.
+    if gates == "haar":
+        rng = np.random.default_rng(7)
+        cases = [(k, haar_random_unitary(4, rng)) for k in range(300)]
+    else:
+        cases = [((name, eps), u) for name in sorted(SPECIAL_CLASSES)
+                 for eps, _, u in _near_class_gates(name)]
+
+    def hand_back_starts(objective, starts):
+        raise _Starts(starts)
+
+    monkeypatch.setattr(oracle, "minimize", hand_back_starts)
+    pool = oracle._seeded_pool(0)[0]
+    tied = []
+    for case, u in cases:
+        with pytest.raises(_Starts) as picked:
+            max_concurrence_unrestricted(u)
+        direct = _concurrence(u @ pool) ** 2 - _concurrence(pool) ** 2
+        best = np.argsort(direct)[::-1][:SearchConfig.restarts + 1]
+        if np.min(-np.diff(direct[best])) > 1e-14:
+            assert np.array_equal(picked.value.args[0], pool[:, best[:-1]]), case
+        else:
+            # No order to keep: every score is round-off of a zero gain.
+            assert np.max(np.abs(direct)) <= 1e-14, case
+            tied.append(case)
+    # The gain is identically zero only on the exact identity and SWAP classes.
+    assert tied == ([] if gates == "haar" else [("identity", 0.0), ("swap", 0.0)])
+
+
+def test_unrestricted_search_wakes_no_blas_worker_threads():
+    # Scoring the pool by u @ pool, a (4, 4) @ (4, 13824) product, handed it to
+    # OpenBLAS's worker threads, whose spinning cost 4-12 ms of CPU per search
+    # on a 2-core host; the search itself runs on the calling thread alone.
+    oracle._seeded_pool(0)
+    rng = np.random.default_rng(408)
+    gates = [haar_random_unitary(4, rng) for _ in range(5)]
+    time.sleep(0.5)  # workers woken by earlier work go back to sleep
+    process, thread = time.process_time(), time.thread_time()
+    for u in gates:
+        max_concurrence_unrestricted(u)
+    helper = (time.process_time() - process) - (time.thread_time() - thread)
+    assert helper < 1e-3
 
 
 def test_product_polish_reaches_a_flat_maximum():
