@@ -94,6 +94,18 @@ def in_weyl_region(d) -> bool:
     return (abs(az) <= ay + ANGLE_TOL) and (ay <= ax + ANGLE_TOL) and (ax <= PI_4 + ANGLE_TOL)
 
 
+def _weyl_triple(d) -> np.ndarray:
+    """d as a triple, checked by ``in_weyl_region``: the closed forms hold only there.
+
+    Raises ValueError for a triple outside the region.
+    """
+    d = _as_triple(d)
+    if not in_weyl_region(d):
+        raise ValueError(f"triple {tuple(float(v) for v in d)} lies outside the region "
+                         "0 <= |az| <= ay <= ax <= pi/4")
+    return d
+
+
 def eigenphase_vector(d) -> np.ndarray:
     """The four canonical eigenphases (l1, l2, l3, l4) of U_d, unsorted.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _as_triple, canonical_unitary
+from .canonical import _as_triple, _weyl_triple, canonical_unitary
 from .entanglement import binary_entropy, capacities_closed_form
 from .linalg import SIGMA_YY, check_state
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
@@ -99,9 +99,10 @@ def verify_relation1(d) -> CapacityRelationReport:
     The first-order capacity term is evaluated at the concurrence-maximizing
     product input found by the oracle, where the signal overlap equals the
     product entangling capacity; an unconstrained maximization of C_1 would
-    instead saturate trivially at any zero-concurrence input.
+    instead saturate trivially at any zero-concurrence input.  A triple
+    outside the standard region raises ValueError before the search.
     """
-    d = _as_triple(d)
+    d = _weyl_triple(d)
     u_d = canonical_unitary(d)
     search = max_concurrence_product(u_d)
     state = search.argmax_state
@@ -126,9 +127,10 @@ def verify_relation2(d, cfg: SearchConfig = SearchConfig()) -> CapacityRelationR
 
     The collective capacity is maximized by minimizing the probe overlap
     |<phi| U_d^2 |phi>|, which the oracle solves; the maximum equals
-    h((1 + minimum overlap) / 2).
+    h((1 + minimum overlap) / 2).  A triple outside the standard region
+    raises ValueError before the search.
     """
-    d = _as_triple(d)
+    d = _weyl_triple(d)
     u_d = canonical_unitary(d)
     search = min_probe_overlap(u_d @ u_d, cfg)
     capacity_term = c_inf_two_pure(min(search.value, 1.0))

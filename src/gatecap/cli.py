@@ -28,7 +28,7 @@ from .canonical import (
 from .capacities import verify_relation1, verify_relation2
 from .distinguishability import _residual, d_min_canonical, d_min_geometric, verify_theorem
 from .entanglement import capacities_closed_form
-from .linalg import NotUnitaryError, haar_random_unitary
+from .linalg import SIGMA_YY, NotUnitaryError, haar_random_unitary
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 from .serialization import MalformedInputError, load_matrix, matrix_to_json
 
@@ -76,8 +76,10 @@ def cmd_analyze(args) -> int:
         "geometric": d_min_geometric(u),
     }
     if args.numeric:
-        u_d = canonical_unitary(form.d)
-        d_min["numeric"] = min_probe_overlap(u_d @ u_d, SearchConfig(args.seed)).value
+        # The probe search reads the input too: S U^T S U, S = sy (x) sy, has
+        # the spectrum of U_d^2 up to a global phase, which no overlap sees.
+        spin_flipped = SIGMA_YY @ u.T @ SIGMA_YY @ u
+        d_min["numeric"] = min_probe_overlap(spin_flipped, SearchConfig(args.seed)).value
     report = {
         "input_sha256": _input_hash(u),
         "d": [float(v) for v in form.d],
@@ -152,9 +154,6 @@ def cmd_capacities(args) -> int:
         raise MalformedInputError("provide exactly one of --d or a matrix file")
     if args.d is not None:
         d = _parse_triple(args.d)
-        if not in_weyl_region(d):
-            raise MalformedInputError(
-                f"triple {args.d!r} lies outside the region 0 <= |az| <= ay <= ax <= pi/4")
     else:
         d = cartan_decompose(load_matrix(args.matrix)).d
     caps = capacities_closed_form(d)
@@ -318,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "full report for one 4x4 unitary")
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("--numeric", action="store_true",
-                   help="also compute d_min by direct probe search")
+                   help="also compute d_min by direct probe search on the input")
 
     p = add("decompose", cmd_decompose, ("--json", "--out", "--degrees"),
             "canonical decomposition only")

@@ -94,7 +94,8 @@ def d_min_canonical(d) -> float:
 
     Zero for perfect entanglers; otherwise cos(2(ax+ay)) when the first
     perfect-entangler inequality fails and -cos(2(ay+|az|)) when the second
-    does.
+    does.  A triple outside the standard region raises ValueError (see
+    ``is_perfect_entangler``).
     """
     ax, ay, az = _as_triple(d)
     if is_perfect_entangler((ax, ay, az)):
@@ -143,7 +144,8 @@ def verify_theorem(d, route: str = "closed") -> TheoremResidual:
 
     ``route`` selects how the minimum overlap is computed: "closed" uses the
     closed form in the triple, "geometric" the convex hull of the actual
-    spectrum of U_d squared.
+    spectrum of U_d squared.  A triple outside the standard region raises
+    ValueError on both routes.
     """
     return _residual(capacities_closed_form(d), _d_min(d, route), route)
 

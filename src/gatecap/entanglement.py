@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import PI_4, _as_triple, eigenphase_vector
+from .canonical import PI_4, _as_triple, _weyl_triple, eigenphase_vector
 from .linalg import SIGMA_YY, check_state
 
 
@@ -83,9 +83,11 @@ def is_perfect_entangler(d) -> bool:
     """Whether U_d maps some product state to a maximally entangled state.
 
     True iff ax + ay >= pi/4 and ay + |az| <= pi/4, with the boundary
-    counting as satisfied.
+    counting as satisfied.  d must lie in the region
+    0 <= |az| <= ay <= ax <= pi/4 (to ``ANGLE_TOL``), where the test and
+    every closed form built on it hold; a triple outside raises ValueError.
     """
-    ax, ay, az = _as_triple(d)
+    ax, ay, az = _weyl_triple(d)
     return (ax + ay >= PI_4) and (ay + abs(az) <= PI_4)
 
 
@@ -101,7 +103,9 @@ def capacities_closed_form(d) -> CapacityReport:
     Either sign of az is taken as it is: (sz (x) 1) U_d (sz (x) 1) is the
     adjoint of U_d with az negated, so flipping az negates the set of
     eigenphases, which leaves every |sin| of a difference, the
-    perfect-entangler test and the minimum overlap unchanged.
+    perfect-entangler test and the minimum overlap unchanged.  A triple
+    outside the standard region raises ValueError (see
+    ``is_perfect_entangler``).
     """
     d = _as_triple(d)
     if is_perfect_entangler(d):

@@ -27,14 +27,14 @@ class SearchConfig:
 
     ``seed`` seeds the random pool and probes; it must be a non-negative
     integer, and anything else raises ValueError.
-    ``coarse_grid_per_angle`` (n) sizes the coarse pool: the product search
-    scans an n x n (theta, phi) grid over its first qubit, the unrestricted
-    search scores n^3 Haar-random inputs.  ``restarts`` is how many of the
-    best pool points (for the probe search, seeded random probes) are
-    refined, all together, and ``product_restarts`` how many of the best
-    grid points the product search refines; the gain search refines none,
-    as it returns the product maximiser.  ``refine_iterations`` caps the
-    steps of each sphere ascent.  ``tolerance`` squared is the length of a
+    ``coarse_grid_per_angle`` (n) sizes both coarse stages alike: the
+    product search scans an n x n (theta, phi) grid over its first qubit,
+    and the unrestricted search scores a pool of n^2 Haar-random inputs.
+    ``restarts`` is how many of the best pool points (for the probe search,
+    seeded random probes) are refined, all together, and
+    ``product_restarts`` how many of the best grid points the product
+    search refines; the gain search refines none, as it returns the product
+    maximiser.  ``refine_iterations`` caps the steps of each sphere ascent.  ``tolerance`` squared is the length of a
     Newton step (for small steps, the angle moved) below which a sphere
     ascent stops a start.  A start also stops once its last Newton step was
     predicted to gain at most one ulp of its value, and the ascent ends once
@@ -193,31 +193,16 @@ def _random_states(count: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0)
 
 
-# The index pairs (i, j), i <= j, of the ten monomials psi_i psi_j of a
-# quadratic form psi^T G psi on two qubits.
-_UPPER = np.triu_indices(4)
-
-
 @functools.lru_cache(maxsize=4)
-def _seeded_pool(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``coarse_grid_per_angle`` cubed random states from seed, their monomials and tangles.
+def _seeded_pool(seed: int) -> np.ndarray:
+    """``coarse_grid_per_angle`` squared Haar-random states from seed, a (4, n^2) array.
 
-    Returns the (4, N) states, the (10, N) monomials psi_i psi_j (i <= j, in
-    the order of ``_UPPER``) and the tangles C(psi)^2.  The unrestricted
-    search scores the pool as a quadratic form in the monomials, not through
-    ``u @ pool``: that (4, 4) @ (4, N) product is wide enough for OpenBLAS
-    to hand it to its worker threads, which then spin for milliseconds
-    beside the single-threaded refinement that follows.
-
-    Drawn once per seed: the unrestricted searches of every gate share
-    their pool, and the arrays are read-only because every caller gets the
-    same ones.
+    Drawn once per seed: the unrestricted searches of every gate share the
+    pool, and it is read-only because every caller gets the same array.
     """
-    pool = _random_states(SearchConfig.coarse_grid_per_angle ** 3, np.random.default_rng(seed))
-    monomials = pool[_UPPER[0]] * pool[_UPPER[1]]
-    tangle = _concurrence(pool) ** 2
-    pool.flags.writeable = monomials.flags.writeable = tangle.flags.writeable = False
-    return pool, monomials, tangle
+    pool = _random_states(SearchConfig.coarse_grid_per_angle ** 2, np.random.default_rng(seed))
+    pool.flags.writeable = False
+    return pool
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,27 +387,17 @@ def max_concurrence_unrestricted(u: np.ndarray,
 
     The maximum runs over all two-qubit pure inputs, entangled ones
     included; this is the quantity the closed-form ``c_max`` stands for.
-    ``coarse_grid_per_angle`` cubed Haar-random inputs are scored by value
-    only, the best ``restarts`` of them are refined together by sphere
-    ascent with no other seed, and the value is recomputed from the best
-    returned state.
-
-    The pool's values are |psi^T G psi|^2 - C(psi)^2, G = U^T (sy (x) sy) U,
-    the tangle-gain objective's own form: ten axpys of the pool's cached
-    monomials, weighted by G's upper triangle with its off-diagonal entries
-    doubled.  They are not computed from ``u @ pool``, the one product wide
-    enough to wake OpenBLAS's worker threads (see ``_seeded_pool``).
+    ``coarse_grid_per_angle`` squared Haar-random inputs are scored by the
+    tangle-gain objective itself, the best ``restarts`` of them are refined
+    together by sphere ascent on that objective with no other seed, and the
+    value is recomputed from the best returned state.
     """
     u = check_unitary(u)
-    pool, monomials, tangle = _seeded_pool(cfg.seed)
-    coefficients = ((2 - np.eye(4)) * (u.T @ SIGMA_YY @ u))[_UPPER]
-    z = coefficients[0] * monomials[0]
-    for c, monomial in zip(coefficients[1:], monomials[1:]):
-        z += c * monomial
-    values = z.real ** 2 + z.imag ** 2 - tangle
-    best = np.argpartition(values, -SearchConfig.restarts)[-SearchConfig.restarts:]
-    starts = pool[:, best[np.argsort(values[best])[::-1]]]
-    refined = minimize(_tangle_gain_objective(u), starts)
+    pool = _seeded_pool(cfg.seed)
+    objective = _tangle_gain_objective(u)
+    values = objective(pool)[0]
+    starts = pool[:, np.argsort(values)[::-1][:SearchConfig.restarts]]
+    refined = minimize(objective, starts)
     state = refined.states[:, np.argmax(refined.values)]
     tangle_gain = float(_concurrence(u @ state) ** 2 - _concurrence(state) ** 2)
     return SearchResult(value=float(np.sqrt(min(max(tangle_gain, 0.0), 1.0))),

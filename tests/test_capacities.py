@@ -87,6 +87,19 @@ def test_relation2_residuals():
     assert verify_relation2([PI_4, 0, 0]).relation_residual <= 1e-3
 
 
+@pytest.mark.parametrize("relation", [verify_relation1, verify_relation2])
+def test_relations_check_the_triple_before_they_search(relation, monkeypatch):
+    import gatecap.capacities as capacities
+
+    def no_search(*args):
+        raise AssertionError("searched a triple outside the region")
+
+    monkeypatch.setattr(capacities, "max_concurrence_product", no_search)
+    monkeypatch.setattr(capacities, "min_probe_overlap", no_search)
+    with pytest.raises(ValueError, match="outside the region"):
+        relation([0.3, 0.2, -0.25])
+
+
 def test_relation2_random_triples():
     rng = np.random.default_rng(109)
     for _ in range(5):

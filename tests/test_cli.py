@@ -426,6 +426,21 @@ def test_analyze_theorem_catches_wrong_triple(write_matrix, monkeypatch, capsys)
     assert theorem["quartic"]["residual"] > 1e-3
 
 
+def test_analyze_numeric_d_min_reads_the_input(write_matrix, monkeypatch, capsys):
+    # The probe search runs on S U^T S U, S = sy (x) sy, so it reads D_min
+    # from the input, as the geometric route does, not from the reported d.
+    import gatecap.cli as cli
+
+    u = _dressed_non_perfect_entangler()
+    monkeypatch.setattr(cli, "cartan_decompose", _shifted_by_0_05)
+    assert main(["analyze", write_matrix(u), "--json", "--numeric"]) == 0
+    d_min = json.loads(capsys.readouterr().out)["d_min"]
+    assert abs(d_min["numeric"] - d_min_geometric(u)) <= 1e-12
+    assert abs(d_min["numeric"] - 0.6967) <= 1e-4
+    assert abs(d_min["numeric"] - d_min["closed"]) > 1e-3
+    assert abs(d_min["closed"] - 0.6216) <= 1e-4
+
+
 def test_verify_geometric_route_catches_wrong_perfect_entangler(monkeypatch, capsys):
     # Both triples are perfect entanglers: c_max_prod stays 1 and D_min 0, so
     # only the local invariants tell them apart.

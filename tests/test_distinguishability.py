@@ -5,6 +5,7 @@ import pytest
 from numpy import kron
 
 from gatecap.canonical import MAGIC, MAGIC_DAG, canonical_unitary
+from gatecap.capacities import verify_relation1, verify_relation2
 from gatecap.distinguishability import (
     d_min_canonical,
     d_min_geometric,
@@ -13,7 +14,7 @@ from gatecap.distinguishability import (
     verify_theorem,
     verify_theorem_quartic,
 )
-from gatecap.entanglement import is_perfect_entangler
+from gatecap.entanglement import capacities_closed_form, is_perfect_entangler
 from gatecap.linalg import NotUnitaryError, eig_unitary, haar_random_unitary
 
 PI_4 = np.pi / 4
@@ -147,6 +148,39 @@ def test_verify_theorem_quartic():
 def test_verify_theorem_unknown_route(check):
     with pytest.raises(ValueError):
         check([0, 0, 0], route="mystery")
+
+
+# Every function that reads an interaction triple through the closed forms,
+# the relations included.
+_READERS_OF_D = {
+    "is_perfect_entangler": is_perfect_entangler,
+    "capacities_closed_form": capacities_closed_form,
+    "d_min_canonical": d_min_canonical,
+    "verify_theorem_closed": verify_theorem,
+    "verify_theorem_geometric": lambda d: verify_theorem(d, route="geometric"),
+    "verify_theorem_quartic_closed": verify_theorem_quartic,
+    "verify_theorem_quartic_geometric": lambda d: verify_theorem_quartic(d, route="geometric"),
+    "verify_relation1": verify_relation1,
+    "verify_relation2": verify_relation2,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS_OF_D))
+@pytest.mark.parametrize("d", [(PI_4 + 0.2, 0, 0), (0.3, 0.2, -0.25), (0, 0, PI_4)],
+                         ids=["ax_beyond_pi_4", "az_beyond_ay", "az_only"])
+def test_closed_forms_reject_a_triple_outside_the_region(reader, d):
+    # Outside 0 <= |az| <= ay <= ax <= pi/4 the closed forms read a triple
+    # wrongly: (pi/4 + 0.2, 0, 0) passed as a perfect entangler with D_min 0,
+    # where U_d's own D_min is 0.389 and its product capacity 0.921.
+    with pytest.raises(ValueError, match="outside the region"):
+        _READERS_OF_D[reader](d)
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS_OF_D))
+def test_closed_forms_accept_a_triple_just_outside_the_region(reader):
+    # The faces hold to ANGLE_TOL (1e-12): 1e-13 beyond ax = pi/4 and beyond
+    # ay = |az| is read as on them.
+    _READERS_OF_D[reader]((PI_4 + 1e-13, 0.2, -0.2 - 1e-13))
 
 
 def test_perfect_entangler_iff_zero_distance():
