@@ -44,11 +44,9 @@ from .distinguishability import (
 )
 from .capacities import (
     CapacityRelationReport,
-    SignalPair,
     c1_two_pure,
     c_inf_two_pure,
     ensemble_entropy_two_pure,
-    relation1_signals,
     verify_relation1,
     verify_relation2,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "NotUnitaryError",
     "SearchConfig",
     "SearchResult",
-    "SignalPair",
     "TheoremResidual",
     "binary_entropy",
     "c1_two_pure",
@@ -110,7 +107,6 @@ __all__ = [
     "max_concurrence_unrestricted",
     "max_delta_concurrence",
     "min_probe_overlap",
-    "relation1_signals",
     "unitarity_defect",
     "verify_relation1",
     "verify_relation2",

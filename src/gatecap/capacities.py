@@ -12,19 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _as_triple, _weyl_triple, canonical_unitary
+from .canonical import _weyl_triple, canonical_unitary
 from .entanglement import binary_entropy, capacities_closed_form
-from .linalg import SIGMA_YY, check_state
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
-
-
-@dataclass(frozen=True)
-class SignalPair:
-    """Two signal states and their recomputed overlap."""
-
-    psi1: np.ndarray
-    psi2: np.ndarray
-    overlap: float
 
 
 @dataclass(frozen=True)
@@ -76,43 +66,19 @@ def ensemble_entropy_two_pure(p1: float, overlap: float) -> float:
     return binary_entropy((1.0 + min(radius, 1.0)) / 2.0)
 
 
-def relation1_signals(d, psi_a, psi_b) -> SignalPair:
-    """Signal pair whose overlap equals the output concurrence.
-
-    psi1 = U_d (psi_a (x) psi_b); psi2 applies the adjoint to the
-    conjugated product state and spin-flips the result.  The overlap of
-    the pair then equals the concurrence of psi1 by the spin-flip form.
-    """
-    psi_a = check_state(psi_a, 2)
-    psi_b = check_state(psi_b, 2)
-    u_d = canonical_unitary(_as_triple(d))
-    product = np.kron(psi_a, psi_b)
-    psi1 = u_d @ product
-    psi2 = SIGMA_YY @ (u_d.conj().T @ np.conj(product))
-    overlap = float(np.abs(np.vdot(psi1, psi2)))
-    return SignalPair(psi1=psi1, psi2=psi2, overlap=overlap)
-
-
 def verify_relation1(d) -> CapacityRelationReport:
     """Check E_max^prod + C_1 = 1 with both terms at the same extremal pair.
 
-    The first-order capacity term is evaluated at the concurrence-maximizing
-    product input found by the oracle, where the signal overlap equals the
-    product entangling capacity; an unconstrained maximization of C_1 would
-    instead saturate trivially at any zero-concurrence input.  A triple
-    outside the standard region raises ValueError before the search.
+    The signals psi1 = U_d (a (x) b) and psi2 = (sy (x) sy) conj(psi1) have
+    overlap C(psi1), so C_1 is evaluated at the product search's value, the
+    largest concurrence over product inputs; an unconstrained maximization
+    of C_1 would instead saturate trivially at any zero-concurrence input.
+    A triple outside the standard region raises ValueError before the
+    search.
     """
     d = _weyl_triple(d)
-    u_d = canonical_unitary(d)
-    search = max_concurrence_product(u_d)
-    state = search.argmax_state
-    # Split the product maximizer back into qubit factors: the reshaped
-    # amplitude matrix of a product state is rank one.
-    u, s, vh = np.linalg.svd(state.reshape(2, 2))
-    psi_a = u[:, 0]
-    psi_b = vh[0, :]
-    pair = relation1_signals(d, psi_a, psi_b)
-    capacity_term = c1_two_pure(min(pair.overlap, 1.0))
+    search = max_concurrence_product(canonical_unitary(d))
+    capacity_term = c1_two_pure(search.value)
     e_prod = capacities_closed_form(d).e_max_prod
     return CapacityRelationReport(
         e_max_prod=e_prod,

@@ -17,8 +17,6 @@ import time
 import numpy as np
 
 from .canonical import (
-    MAGIC,
-    MAGIC_DAG,
     DecompositionError,
     canonical_unitary,
     cartan_decompose,
@@ -28,7 +26,7 @@ from .canonical import (
 from .capacities import verify_relation1, verify_relation2
 from .distinguishability import _residual, d_min_canonical, d_min_geometric, verify_theorem
 from .entanglement import capacities_closed_form
-from .linalg import SIGMA_YY, NotUnitaryError, haar_random_unitary
+from .linalg import NotUnitaryError, haar_random_unitary, spin_flipped_square
 from .oracle import SearchConfig, max_concurrence_product, min_probe_overlap
 from .serialization import MalformedInputError, load_matrix, matrix_to_json
 
@@ -76,10 +74,8 @@ def cmd_analyze(args) -> int:
         "geometric": d_min_geometric(u),
     }
     if args.numeric:
-        # The probe search reads the input too: S U^T S U, S = sy (x) sy, has
-        # the spectrum of U_d^2 up to a global phase, which no overlap sees.
-        spin_flipped = SIGMA_YY @ u.T @ SIGMA_YY @ u
-        d_min["numeric"] = min_probe_overlap(spin_flipped, SearchConfig(args.seed)).value
+        # The probe search reads the input too: S U^T S U, not U_d^2.
+        d_min["numeric"] = min_probe_overlap(spin_flipped_square(u), SearchConfig(args.seed)).value
     report = {
         "input_sha256": _input_hash(u),
         "d": [float(v) for v in form.d],
@@ -182,14 +178,14 @@ def cmd_capacities(args) -> int:
 
 
 def _makhlin_invariants(u: np.ndarray) -> np.ndarray:
-    """Local invariants G1, G2 of a 4x4 unitary from its magic-basis M^T M
-    (Makhlin, quant-ph/0002045): two gates share them exactly when they are
-    locally equivalent."""
-    m = MAGIC_DAG @ u @ MAGIC
-    mm = m.T @ m
-    tr = np.trace(mm)
+    """Local invariants G1, G2 of a 4x4 unitary (Makhlin, quant-ph/0002045):
+    two gates share them exactly when they are locally equivalent.  With M
+    the gate in the magic basis Q, Q Q^T = -S gives tr M^T M = tr SG and
+    tr (M^T M)^2 = tr SG^2 for SG = S U^T S U."""
+    sg = spin_flipped_square(u)
+    tr = np.trace(sg)
     det = np.linalg.det(u)
-    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)])
+    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(sg @ sg)) / (4 * det)])
 
 
 def _verify_residual(u: np.ndarray, form, route: str) -> float:

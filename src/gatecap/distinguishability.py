@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import MAGIC, MAGIC_DAG, _as_triple, canonical_unitary
+from .canonical import _as_triple, canonical_unitary
 from .entanglement import CapacityReport, capacities_closed_form, is_perfect_entangler
-from .linalg import ANGLE_TOL, check_unitary
+from .linalg import ANGLE_TOL, check_unitary, spin_flipped_square
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,14 @@ def d_min_canonical(d) -> float:
 def d_min_geometric(u) -> float:
     """Minimum overlap of U_d vs its adjoint, read from a gate U ~ U_d.
 
-    In the magic basis M = MAGIC^dag U MAGIC, M^T M is a local invariant
-    with the spectrum of U_d^2 up to a global phase, which only rotates the
-    hull (Makhlin, 2002); so no decomposition of U is needed.  ``u`` is
-    checked first: a complex-orthogonal M that is not unitary also has
-    M^T M = I.  M^T M itself is not checked again: its defect can exceed
+    S U^T S U (``spin_flipped_square``) has the spectrum of U_d^2 up to a
+    global phase, which only rotates the hull, so no decomposition of U is
+    needed.  ``u`` is checked first: a non-unitary U can give a unitary
+    S U^T S U.  That product is not checked again: its defect can exceed
     that of ``u`` by a few times.
     """
-    m = MAGIC_DAG @ check_unitary(u) @ MAGIC
-    return hull_min_distance(np.angle(np.linalg.eigvals(m.T @ m)))
+    sg = spin_flipped_square(check_unitary(u))
+    return hull_min_distance(np.angle(np.linalg.eigvals(sg)))
 
 
 def _d_min(d, route: str) -> float:

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for 2x2 and 4x4 matrices.
 
 Provides the matrix primitives the rest of the package is built on: the
-two-qubit gate check and the state check, the eigenphases of a unitary, and
+two-qubit gate check and the state check, the eigenphases of a unitary, the
+spin-flipped square S U^T S U that the local-invariant reads share, and
 seeded Haar-random sampling.  Tensor products are plain ``np.kron``.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 # Tolerance policy.  Inputs from outside are gated once on entry; the
 # algorithms then run without intermediate checks (matrices derived from a
-# gate, such as M^T M, are not checked again), and the one factorisation
+# gate, such as S U^T S U, are not checked again), and the one factorisation
 # (cartan_decompose) is judged once, by reconstructing its input from its
 # output.  A failed output gate raises DecompositionError.
 #   UNITARITY_TOL       input gate: max |U^dag U - I| of a matrix.
@@ -98,6 +99,17 @@ def eig_unitary(u: np.ndarray) -> np.ndarray:
     ``wrap_angle`` maps to pi.
     """
     return np.sort(wrap_angle(np.angle(np.linalg.eigvals(check_unitary(u)))))
+
+
+def spin_flipped_square(u: np.ndarray) -> np.ndarray:
+    """S U^T S U with S = sy (x) sy, for an already checked gate ``u``.
+
+    sy A^T sy = det(A) A^-1 for a 2x2 A, so for U = (A (x) B) U_d (C (x) D)
+    this is a phase times (C (x) D)^dag U_d^2 (C (x) D): it carries U's local
+    invariants and the spectrum of U_d^2 up to that phase, with no
+    decomposition of U.
+    """
+    return SIGMA_YY @ u.T @ SIGMA_YY @ u
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,11 +34,12 @@ class SearchConfig:
     seeded random probes) are refined, all together, and
     ``product_restarts`` how many of the best grid points the product
     search refines; the gain search refines none, as it returns the product
-    maximiser.  ``refine_iterations`` caps the steps of each sphere ascent.  ``tolerance`` squared is the length of a
-    Newton step (for small steps, the angle moved) below which a sphere
-    ascent stops a start.  A start also stops once its last Newton step was
-    predicted to gain at most one ulp of its value, and the ascent ends once
-    no live start is above the best stopped one.
+    maximiser.  ``refine_iterations`` caps the steps of each sphere ascent.
+    ``tolerance`` squared is the length of a Newton step (for small steps,
+    the angle moved) below which a sphere ascent stops a start.  A start
+    also stops once its last Newton step was predicted to gain at most one
+    ulp of its value, and the ascent ends once no live start is above the
+    best stopped one.
     """
 
     coarse_grid_per_angle: ClassVar[int] = 24

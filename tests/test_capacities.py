@@ -1,5 +1,7 @@
 """Tests for the classical-capacity formulas and the two capacity relations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,9 @@ from gatecap.capacities import (
     c1_two_pure,
     c_inf_two_pure,
     ensemble_entropy_two_pure,
-    relation1_signals,
     verify_relation1,
     verify_relation2,
 )
-from gatecap.entanglement import concurrence
-from gatecap.linalg import DimensionMismatchError, haar_random_unitary
 
 PI_4 = np.pi / 4
 
@@ -56,25 +55,6 @@ def test_ensemble_entropy_maximized_at_half():
             assert ensemble_entropy_two_pure(p, s) <= best + 1e-12
 
 
-def test_relation1_signal_overlap_is_concurrence():
-    rng = np.random.default_rng(107)
-    for _ in range(20):
-        psi_a = haar_random_unitary(2, rng)[:, 0]
-        psi_b = haar_random_unitary(2, rng)[:, 0]
-        d = np.sort(rng.uniform(0, PI_4, 3))[::-1]
-        pair = relation1_signals(d, psi_a, psi_b)
-        assert abs(pair.overlap - concurrence(pair.psi1)) <= 1e-12
-
-
-def test_relation1_identity_triple():
-    pair = relation1_signals([0, 0, 0], np.array([1, 0]), np.array([1, 0]))
-    assert pair.overlap <= 1e-12
-    for psi_a, psi_b in ((np.array([1, 0, 0, 0]), np.array([1, 0])),
-                         (np.array([1, 0]), np.array([1, 0, 0, 0]))):
-        with pytest.raises(DimensionMismatchError):
-            relation1_signals([0, 0, 0], psi_a, psi_b)
-
-
 def test_relation1_residuals():
     assert verify_relation1([0, 0, 0]).relation_residual <= 1e-9
     assert verify_relation1([np.pi / 8, 0, 0]).relation_residual <= 1e-3
@@ -98,6 +78,23 @@ def test_relations_check_the_triple_before_they_search(relation, monkeypatch):
     monkeypatch.setattr(capacities, "min_probe_overlap", no_search)
     with pytest.raises(ValueError, match="outside the region"):
         relation([0.3, 0.2, -0.25])
+
+
+@pytest.mark.parametrize("relation, search", [(verify_relation1, "max_concurrence_product"),
+                                              (verify_relation2, "min_probe_overlap")])
+def test_each_relation_reads_its_own_search(relation, search, monkeypatch):
+    # A search value off by 0.1 must show in the residual: a relation that
+    # read the closed form instead would still pass at 1e-16.
+    import gatecap.capacities as capacities
+
+    real = getattr(capacities, search)
+
+    def off_by_0_1(*args):
+        result = real(*args)
+        return dataclasses.replace(result, value=result.value - 0.1)
+
+    monkeypatch.setattr(capacities, search, off_by_0_1)
+    assert relation([np.pi / 8, 0, 0]).relation_residual > 1e-2
 
 
 def test_relation2_random_triples():

@@ -11,11 +11,11 @@ import pytest
 from numpy import kron
 
 import gatecap
-from gatecap.canonical import MAGIC, MAGIC_DAG, canonical_unitary, cartan_decompose
+from gatecap.canonical import canonical_unitary, cartan_decompose
 from gatecap.cli import main
 from gatecap.distinguishability import d_min_geometric, hull_min_distance, verify_theorem
 from gatecap.entanglement import capacities_closed_form
-from gatecap.linalg import eig_unitary, haar_random_unitary
+from gatecap.linalg import SIGMA_YY, eig_unitary, haar_random_unitary
 from gatecap.serialization import matrix_from_json, matrix_to_json
 
 PI_4 = np.pi / 4
@@ -343,20 +343,18 @@ def test_verify_csv_output(tmp_path, capsys):
 
 
 def _makhlin(u):
-    m = MAGIC_DAG @ u @ MAGIC
-    mm = m.T @ m
-    tr = np.trace(mm)
+    sg = SIGMA_YY @ u.T @ SIGMA_YY @ u
+    tr = np.trace(sg)
     det = np.linalg.det(u)
-    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)])
+    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(sg @ sg)) / (4 * det)])
 
 
 def _input_hull_residual(u, d):
     """The larger of |c_max_prod(d)^2 + D_min^2 - 1|, D_min from the spectrum of
-    the input, and the largest gap between the Makhlin invariants of the input
-    and those of U_d."""
+    the input's S U^T S U, and the largest gap between the Makhlin invariants of
+    the input and those of U_d."""
     c = capacities_closed_form(d).c_max_prod
-    m = MAGIC_DAG @ u @ MAGIC
-    dm = hull_min_distance(eig_unitary(m.T @ m))
+    dm = hull_min_distance(eig_unitary(SIGMA_YY @ u.T @ SIGMA_YY @ u))
     drift = np.max(np.abs(_makhlin(u) - _makhlin(canonical_unitary(d))))
     return max(abs(c * c + dm * dm - 1.0), drift)
 

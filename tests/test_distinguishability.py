@@ -16,6 +16,7 @@ from gatecap.distinguishability import (
 )
 from gatecap.entanglement import capacities_closed_form, is_perfect_entangler
 from gatecap.linalg import NotUnitaryError, eig_unitary, haar_random_unitary
+from test_oracle import SPECIAL_CLASSES, _near_class_gates
 
 PI_4 = np.pi / 4
 
@@ -109,8 +110,8 @@ def test_d_min_closed_matches_geometry():
 
 
 def test_d_min_geometric_reads_a_dressed_gate():
-    # Local factors and a global phase leave the spectrum of M^T M, up to a
-    # rotation, and so the hull distance unchanged.
+    # Local factors and a global phase leave the spectrum of S U^T S U, up to
+    # a rotation, and so the hull distance unchanged.
     rng = np.random.default_rng(89)
     for _ in range(100):
         ax, ay = np.sort(rng.uniform(0, PI_4, 2))[::-1]
@@ -120,6 +121,31 @@ def test_d_min_geometric_reads_a_dressed_gate():
              @ canonical_unitary(d)
              @ kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)))
         assert abs(d_min_canonical(d) - d_min_geometric(u)) <= 1e-10
+
+
+def _magic_basis_reference(u):
+    """D_min and the Makhlin invariants G1, G2 of u from M^T M, M = u in the
+    magic basis: a route to both that does not form S U^T S U."""
+    m = MAGIC_DAG @ u @ MAGIC
+    mm = m.T @ m
+    tr = np.trace(mm)
+    det = np.linalg.det(u)
+    g = np.array([tr * tr / (16 * det), (tr * tr - np.trace(mm @ mm)) / (4 * det)])
+    return hull_min_distance(np.angle(np.linalg.eigvals(mm))), g
+
+
+def test_spin_flipped_square_reads_what_the_magic_basis_reads():
+    # MAGIC MAGIC^T = -S, so M^T M is similar to S U^T S U and has the same
+    # traces; the two routes differ by round-off alone.
+    from gatecap.cli import _makhlin_invariants
+
+    rng = np.random.default_rng(7)
+    gates = [haar_random_unitary(4, rng) for _ in range(300)]
+    gates += [u for name in sorted(SPECIAL_CLASSES) for _, _, u in _near_class_gates(name)]
+    for k, u in enumerate(gates):
+        d_min, g = _magic_basis_reference(u)
+        assert abs(d_min_geometric(u) - d_min) <= 1e-14, k
+        assert np.max(np.abs(_makhlin_invariants(u) - g)) <= 1e-14, k
 
 
 def test_d_min_geometric_rejects_a_complex_orthogonal_non_unitary():
