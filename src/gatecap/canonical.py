@@ -138,11 +138,6 @@ def canonical_unitary(d) -> np.ndarray:
     return (MAGIC * _magic_diagonal(d)) @ MAGIC_DAG
 
 
-def _compose(phase, x_a, x_b, d, y_a, y_b) -> np.ndarray:
-    """exp(i*phase) (x_a (x) x_b) U_d (y_a (x) y_b)."""
-    return np.exp(1j * phase) * np.kron(x_a, x_b) @ canonical_unitary(d) @ np.kron(y_a, y_b)
-
-
 def _canonical_triple(raw) -> np.ndarray:
     """Drive an arbitrary triple into the region 0 <= |az| <= ay <= ax <= pi/4.
 
@@ -176,17 +171,14 @@ def _kron_factor(m: np.ndarray):
     Rearranged so that entry ((i, j), (k, l)) is m[2i + k, 2j + l], a product
     a (x) b becomes the rank-one matrix vec(a) vec(b)^T, so its top singular
     pair holds both factors (Van Loan and Pitsianis, 1993); each is rounded
-    to the nearest unitary.  Returns (g, a, b) with a, b unitary 2x2 and
-    |g| = 1; m = g * kron(a, b) when m has that form, which the caller's
-    reconstruction gate judges.
+    to the nearest unitary.  Returns unitary 2x2 (a, b) with m = g * kron(a, b)
+    for some |g| = 1 when m has that form; the phase g is left to the
+    caller's reconstruction, which reads the whole global phase at once.
     """
     u, _, vh = np.linalg.svd(m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
     ua, _, va = np.linalg.svd(u[:, 0].reshape(2, 2))
     ub, _, vb = np.linalg.svd(vh[0].reshape(2, 2))
-    a = ua @ va
-    b = ub @ vb
-    g = np.vdot(np.kron(a, b).ravel(), m.ravel())
-    return g / abs(g), a, b
+    return ua @ va, ub @ vb
 
 
 def _magic_eigenbasis(m2: np.ndarray) -> np.ndarray:
@@ -210,16 +202,18 @@ def _magic_eigenbasis(m2: np.ndarray) -> np.ndarray:
 def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     """Canonical decomposition of a 4x4 unitary.
 
-    The input is normalized to unit determinant (the principal fourth root
-    of det(U) becomes the global phase) and transformed to the magic basis,
-    M = k1 diag(a) p^T with k1, p real orthogonal and p the eigenbasis of
-    M^T M from one eigh.  The triple read off a is driven into the standard
-    region on its own.  The local factors then come from one match of
-    spectra: the moves only reorder the magic diagonal t of U_d(d), flip its
-    signs and multiply it by a power of i, so a = g s t[perm] with g in
-    {1, i}, and the best of the 2 x 24 candidates gives k1 diag(s) Q and
-    (p Q)^T, both real orthogonal with unit determinant, as the two local
-    factors.
+    The input is divided by the principal fourth root of det(U), which only
+    normalizes its determinant, and transformed to the magic basis,
+    M = k1 diag(a) p^T with k1, p real orthogonal, p the eigenbasis of M^T M
+    from one eigh and a_j square roots of its eigenvalues, of either sign.
+    The triple read off a is driven into the standard region on its own.
+    The local factors then come from one match of spectra: the moves only
+    reorder the magic diagonal t of U_d(d), flip its signs and multiply it
+    by a power of i, so a = g s t[perm] with g in {1, i}, and the best of
+    the 2 x 24 candidates gives k1 diag(s) Q and (p Q)^T, both real
+    orthogonal with unit determinant, as the two local factors.  The global
+    phase is read once, from their reconstruction R: phi = arg <R, U>
+    brings R closest to U, and the residual is max |exp(i phi) R - U|.
     Raises ``DecompositionError`` when the result does not reconstruct
     ``u`` to ``RECONSTRUCTION_TOL``.
     """
@@ -235,9 +229,6 @@ def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     eigvals = np.einsum("ij,ik,kj->j", p, m2, p)
 
     mu = np.angle(eigvals) / 2
-    total = float(np.sum(mu))
-    if round(total / np.pi) % 2:
-        mu[0] -= np.pi
     # Eigenvalues of U_d in magic column order are exp(-i(l3, l4, l1, l2)),
     # so lam[j] = -mu[j] and the pairwise sums recover the triple.
     lam = -mu
@@ -252,11 +243,12 @@ def cartan_decompose(u: np.ndarray) -> CanonicalForm:
     if np.linalg.det(p) * np.linalg.det(q) < 0:
         q[:, 0] *= -1
 
-    g1, x_a, x_b = _kron_factor(MAGIC @ (k1 * signs[g, k]) @ q @ MAGIC_DAG)
-    g2, y_a, y_b = _kron_factor(MAGIC @ (p @ q).T @ MAGIC_DAG)
-    phase = float(wrap_angle(phase0 + np.angle(_QUARTER_TURNS[g]) + np.angle(g1) + np.angle(g2)))
+    x_a, x_b = _kron_factor(MAGIC @ (k1 * signs[g, k]) @ q @ MAGIC_DAG)
+    y_a, y_b = _kron_factor(MAGIC @ (p @ q).T @ MAGIC_DAG)
+    rebuilt = np.kron(x_a, x_b) @ canonical_unitary(d) @ np.kron(y_a, y_b)
+    phase = float(wrap_angle(np.angle(np.vdot(rebuilt, u))))
 
-    residual = float(np.max(np.abs(_compose(phase, x_a, x_b, d, y_a, y_b) - u)))
+    residual = float(np.max(np.abs(np.exp(1j * phase) * rebuilt - u)))
     if not residual <= RECONSTRUCTION_TOL:
         raise DecompositionError(
             f"reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")

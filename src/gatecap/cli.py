@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -343,6 +344,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (`gatecap random | head -1`): an I/O
+        # failure, not malformed input.  What is still buffered goes to
+        # devnull, so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except NotUnitaryError as exc:
         print(f"error: not-unitary: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY

@@ -12,7 +12,7 @@ from numpy import kron
 
 import gatecap
 from gatecap.canonical import canonical_unitary, cartan_decompose
-from gatecap.cli import main
+from gatecap.cli import _fmt_vec, main
 from gatecap.distinguishability import d_min_geometric, hull_min_distance, verify_theorem
 from gatecap.entanglement import capacities_closed_form
 from gatecap.linalg import SIGMA_YY, eig_unitary, haar_random_unitary
@@ -92,6 +92,13 @@ def test_analyze_computes_the_spectrum_once(write_matrix, monkeypatch, capsys):
         assert report["theorem"][key]["d_min_sq"] == geometric * geometric
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this gatecap."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gatecap.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_analyze_imports_no_scipy(write_matrix):
     # gatecap needs only numpy; importing scipy.optimize alone would cost
     # several times the rest of an analyze call.
@@ -100,13 +107,47 @@ def test_analyze_imports_no_scipy(write_matrix):
               "assert gatecap.cli.main(['analyze', sys.argv[1], '--json']) == 0\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
               "file=sys.stderr)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gatecap.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", script, path], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, path], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stderr.strip() == "[]"
     assert json.loads(proc.stdout)["input_sha256"]
+
+
+def test_closed_stdout_is_an_io_failure_not_malformed_input():
+    # The reader takes one line and closes the pipe while `random` is still
+    # writing: exit 2, with nothing on stderr and no traceback at shutdown.
+    proc = subprocess.Popen([sys.executable, "-m", "gatecap.cli", "random", "--count", "3000"],
+                            env=_child_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline().startswith('{"dim": 4')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose", "capacities"])
+@pytest.mark.parametrize("degrees", [False, True])
+def test_table_prints_the_json_report(command, degrees, tmp_path, capsys):
+    # The seed-2 gate's d has three distinct non-zero components, which the
+    # radian and degree tables print differently.
+    path = str(tmp_path / "u.json")
+    assert main(["random", "--seed", "2", "--out", path]) == 0
+    assert main([command, path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main([command, path, *(["--degrees"] if degrees else [])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    value = next(line for line in lines if line.startswith("d ")).split(None, 1)[1]
+    assert value == _fmt_vec(report["d"], degrees)
+    if command == "decompose":
+        for name in ("XA", "XB", "YA", "YB"):
+            start = lines.index(f"{name}:") + 1
+            block = [[complex(z) for z in row.split()] for row in lines[start:start + 2]]
+            assert np.max(np.abs(np.array(block) - matrix_from_json(report[name]))) <= 1e-11
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
